@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
          }},
         {"fresh",
          [](const wlan::Scenario& sc, util::Rng&) {
-           setcover::ScgParams sp;
+           core::ScgParams sp;
            sp.carry_budgets = false;
            return assoc::centralized_bla(sc, {}, sp).loads.max_load;
          }},

@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
 
   // The cold path evolves an identical state and re-solves from scratch every
   // epoch with the same centralized algorithm.
-  auto cold_state = ctrl::NetworkState::from_scenario(sc, cfg.rate_table);
+  auto cold_state = ctrl::NetworkState::from_scenario(sc);
   std::vector<int> cold_row_slot;
   util::Rng cold_rng(seed + 3);
   assoc::SolveOptions cold_opt;

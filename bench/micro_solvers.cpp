@@ -29,10 +29,7 @@
 #include "wmcast/core/solve.hpp"
 #include "wmcast/exact/exact_mla.hpp"
 #include "wmcast/ext/locks.hpp"
-#include "wmcast/setcover/greedy.hpp"
-#include "wmcast/setcover/mcg.hpp"
 #include "wmcast/setcover/reduction.hpp"
-#include "wmcast/setcover/scg.hpp"
 #include "wmcast/util/json.hpp"
 #include "wmcast/util/rng.hpp"
 #include "wmcast/util/simd.hpp"
@@ -145,7 +142,9 @@ void BM_GreedySetCoverKernel(benchmark::State& state) {
   const auto sc = scenario_for(200, 400);
   const auto sys = setcover::build_set_system(sc);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(setcover::greedy_set_cover(sys).total_cost);
+    const core::CoverageEngine eng = setcover::to_engine(sys);
+    core::SolveWorkspace ws;
+    benchmark::DoNotOptimize(core::greedy_cover(eng, ws).total_cost);
   }
 }
 BENCHMARK(BM_GreedySetCoverKernel);
@@ -154,7 +153,10 @@ void BM_McgGreedyKernel(benchmark::State& state) {
   const auto sc = scenario_for(200, 400);
   const auto sys = setcover::build_set_system(sc);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(setcover::mcg_greedy_uniform(sys, 0.9).chosen.size());
+    const core::CoverageEngine eng = setcover::to_engine(sys);
+    core::SolveWorkspace ws;
+    const std::vector<double> budgets(static_cast<size_t>(sys.n_groups()), 0.9);
+    benchmark::DoNotOptimize(core::mcg_cover(eng, ws, budgets).chosen.size());
   }
 }
 BENCHMARK(BM_McgGreedyKernel);
@@ -167,7 +169,9 @@ void BM_LargeColdGreedy(benchmark::State& state) {
   const auto sc = large_scenario();
   for (auto _ : state) {
     const auto sys = setcover::build_set_system(sc);
-    benchmark::DoNotOptimize(setcover::greedy_set_cover(sys).total_cost);
+    const core::CoverageEngine eng = setcover::to_engine(sys);
+    core::SolveWorkspace ws;
+    benchmark::DoNotOptimize(core::greedy_cover(eng, ws).total_cost);
   }
 }
 BENCHMARK(BM_LargeColdGreedy);

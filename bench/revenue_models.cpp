@@ -12,8 +12,7 @@
 #include "wmcast/assoc/distributed.hpp"
 #include "wmcast/assoc/revenue.hpp"
 #include "wmcast/assoc/ssa.hpp"
-#include "wmcast/setcover/greedy.hpp"
-#include "wmcast/setcover/layering.hpp"
+#include "wmcast/core/solve.hpp"
 #include "wmcast/setcover/materialize.hpp"
 #include "wmcast/setcover/reduction.hpp"
 
@@ -137,13 +136,15 @@ int main(int argc, char** argv) {
     util::Rng srng = master2.fork();
     auto sc = wlan::generate_scenario(p, srng).with_budget(0.9);
     const auto sys = setcover::build_set_system(sc);
-    const auto greedy = setcover::greedy_set_cover(sys);
-    const auto layered = setcover::layered_set_cover(sys);
+    const core::CoverageEngine eng = setcover::to_engine(sys);
+    core::SolveWorkspace ws;
+    const auto greedy = core::greedy_cover(eng, ws);
+    const auto layered = core::layered_cover(eng, ws);
     const auto g_assoc = setcover::materialize(sc, sys, greedy.chosen);
     const auto l_assoc = setcover::materialize(sc, sys, layered.chosen);
     g_cost.add(wlan::compute_loads(sc, g_assoc).total_load);
     l_cost.add(wlan::compute_loads(sc, l_assoc).total_load);
-    freq.add(setcover::max_element_frequency(sys));
+    freq.add(core::max_element_frequency(eng));
   }
   t2.add_row({"total load (avg)", util::fmt(g_cost.mean(), 2), util::fmt(l_cost.mean(), 2)});
   t2.add_row({"guarantee factor", "ln n + 1", "f = " + util::fmt(freq.mean(), 1)});

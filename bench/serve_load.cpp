@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
 
   // Workloads are pre-generated so arms measure the serve stack, not the
   // generator, and comparison arms consume byte-identical streams.
-  const ctrl::NetworkState initial = ctrl::NetworkState::from_scenario(sc, table);
+  const ctrl::NetworkState initial = ctrl::NetworkState::from_scenario(sc);
   serve::WorkloadParams wp;
   wp.duration_s = duration_s;
   wp.events_per_s = rate;

@@ -58,20 +58,15 @@ Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& para
 }
 
 Solution centralized_bla(const wlan::Scenario& sc, const CentralizedParams& params,
-                         const setcover::ScgParams& scg_params, EngineContext& ctx) {
+                         const core::ScgParams& scg_params, EngineContext& ctx) {
   const auto t0 = std::chrono::steady_clock::now();
-  core::ScgParams p;
-  p.budget_cap = scg_params.budget_cap;
-  p.grid_points = scg_params.grid_points;
-  p.refine_steps = scg_params.refine_steps;
-  p.carry_budgets = scg_params.carry_budgets;
   core::ScgResult scg;
   if (params.pool != nullptr) {
     ctx.shards.build(ctx.engine);
     scg = core::parallel_scg_cover(ctx.engine, *params.pool, ctx.shard_ws,
-                                   ctx.shards, p);
+                                   ctx.shards, scg_params);
   } else {
-    scg = core::scg_cover(ctx.engine, ctx.ws, p);
+    scg = core::scg_cover(ctx.engine, ctx.ws, scg_params);
   }
   auto assoc = setcover::materialize(sc, ctx.engine, scg.chosen);
   Solution sol = make_solution("BLA-C", sc, std::move(assoc), params.multi_rate);
@@ -124,7 +119,7 @@ Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& para
 }
 
 Solution centralized_bla(const wlan::Scenario& sc, const CentralizedParams& params,
-                         const setcover::ScgParams& scg_params) {
+                         const core::ScgParams& scg_params) {
   const auto t0 = std::chrono::steady_clock::now();
   EngineContext ctx;
   ctx.build(sc, params.multi_rate);

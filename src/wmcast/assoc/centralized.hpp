@@ -19,8 +19,8 @@
 #include "wmcast/assoc/solution.hpp"
 #include "wmcast/core/engine.hpp"
 #include "wmcast/core/parallel.hpp"
+#include "wmcast/core/solve.hpp"
 #include "wmcast/core/workspace.hpp"
-#include "wmcast/setcover/scg.hpp"
 #include "wmcast/util/thread_pool.hpp"
 #include "wmcast/wlan/scenario.hpp"
 
@@ -68,7 +68,7 @@ struct EngineContext {
 
 Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& params = {});
 Solution centralized_bla(const wlan::Scenario& sc, const CentralizedParams& params = {},
-                         const setcover::ScgParams& scg = {});
+                         const core::ScgParams& scg = {});
 /// Uses the scenario's load budget as every group's budget B_i.
 Solution centralized_mnu(const wlan::Scenario& sc, const CentralizedParams& params = {});
 
@@ -77,7 +77,7 @@ Solution centralized_mnu(const wlan::Scenario& sc, const CentralizedParams& para
 Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& params,
                          EngineContext& ctx);
 Solution centralized_bla(const wlan::Scenario& sc, const CentralizedParams& params,
-                         const setcover::ScgParams& scg, EngineContext& ctx);
+                         const core::ScgParams& scg, EngineContext& ctx);
 Solution centralized_mnu(const wlan::Scenario& sc, const CentralizedParams& params,
                          EngineContext& ctx);
 

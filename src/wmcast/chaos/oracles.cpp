@@ -119,13 +119,9 @@ std::vector<OracleResult> check_solver_equivalence(const wlan::Scenario& sc) {
                                       sc.load_budget());
     const auto a = core::mcg_cover(eng, ws, budgets);
     const auto b = setcover::mcg_greedy_reference(sys, budgets);
-    bool same_violators = a.violator.size() == b.violator.size();
-    for (size_t i = 0; same_violators && i < a.violator.size(); ++i) {
-      same_violators = (a.violator[i] != 0) == static_cast<bool>(b.violator[i]);
-    }
     if (a.h != b.h) {
       out.push_back(bad("mcg.h", seq_diff(a.h, b.h)));
-    } else if (!same_violators) {
+    } else if (a.violator != b.violator) {
       out.push_back(bad("mcg.violators", "same h, different budget-violation marks"));
     } else if (a.chosen != b.chosen || a.covered.count() != b.covered.count()) {
       out.push_back(bad("mcg.chosen", seq_diff(a.chosen, b.chosen)));
@@ -138,7 +134,7 @@ std::vector<OracleResult> check_solver_equivalence(const wlan::Scenario& sc) {
   // exactly — chosen sets, feasibility, B*, and the winning pass count.
   {
     const auto a = core::scg_cover(eng, ws, core::ScgParams{});
-    const auto b = setcover::scg_solve_reference(sys, setcover::ScgParams{});
+    const auto b = setcover::scg_solve_reference(sys, core::ScgParams{});
     if (a.chosen != b.chosen) {
       out.push_back(bad("scg.chosen", seq_diff(a.chosen, b.chosen)));
     } else if (a.feasible != b.feasible || a.bstar != b.bstar ||
@@ -538,7 +534,7 @@ std::vector<OracleResult> check_serve_repair_parallel(const wlan::Scenario& sc,
   }
 
   // Bitwise, not near(): the sharded merge reduces loads in deterministic
-  // component order, so even the FP rounding must match the sequential path.
+  // component order, so even the FP rounding must match the threads=1 run.
   if (seq.loads().total_load != par.loads().total_load ||
       seq.loads().max_load != par.loads().max_load) {
     std::ostringstream os;
@@ -748,7 +744,7 @@ std::string kconn_cold_diff(const ctrl::AssociationController& c,
   assoc::KconnParams kp;
   kp.k = c.k();
   kp.multi_rate = cfg.multi_rate;
-  kp.enforce_budget = cfg.enforce_budget;
+  kp.enforce_budget = true;  // as the controller does
   wlan::Association base = wlan::Association::none(sc.n_users());
   for (int r = 0; r < sc.n_users(); ++r) {
     base.user_ap[static_cast<size_t>(r)] =

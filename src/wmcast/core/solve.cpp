@@ -11,7 +11,7 @@ namespace wmcast::core {
 
 namespace {
 
-constexpr double kTol = 1e-12;  // same residual tolerance as setcover/layering.cpp
+constexpr double kTol = 1e-12;  // layering: a residual cost this small is spent
 
 /// Fast-path margin for the double cross-product comparison below. Each
 /// product carries one rounding (relative error <= u = 2^-53); a computed
@@ -434,7 +434,7 @@ ScgResult scg_cover(const CoverageEngine& eng, SolveWorkspace& ws,
                            ? eng.coverable().and_count(*restrict_to)
                            : eng.coverable().count();
   const int n = std::max(1, n_target);
-  // Theorem 4's pass bound, with the same slack as setcover/scg.cpp.
+  // Theorem 4's pass bound plus a slack of 8, as in setcover/reference.cpp.
   const int max_passes =
       static_cast<int>(std::ceil(std::log(n) / std::log(8.0 / 7.0))) + 8;
 

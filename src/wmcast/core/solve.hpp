@@ -1,7 +1,20 @@
-// Engine-backed set-cover solver policies. Each algorithm here is the same
-// algorithm as its setcover/ counterpart (CostSC greedy, the MCG greedy with
-// H1/H2 split, SCG's budget search, Vazirani layering) re-expressed over a
-// CoverageEngine + SolveWorkspace:
+// The paper's centralized set-cover algorithms, run over a CoverageEngine +
+// SolveWorkspace:
+//
+//  * greedy_cover  — CostSC, the cost-effectiveness greedy for weighted set
+//    cover (Vazirani) behind Centralized MLA; (ln n + 1)-approximation.
+//  * mcg_cover     — the Chekuri–Kumar greedy for Maximum Coverage with Group
+//    Budgets (cost version, no overall budget) plus the H1/H2 split, behind
+//    Centralized MNU (Fig. 3); 8-approximation (Theorem 2).
+//  * scg_cover     — Set Cover with Group Budgets behind Centralized BLA
+//    (Fig. 6): guess the optimal max-group-cost B*, then repeatedly run the
+//    MCG greedy with per-group budget B* on the not-yet-covered elements;
+//    each pass covers a constant fraction, so log_{8/7}(n)+1 passes suffice
+//    (Theorem 4).
+//  * layered_cover — the layering algorithm (Vazirani §2.2) the paper's §6.1
+//    points to; an f-approximation.
+//
+// How they run:
 //
 //  * marginal gains are *maintained*, not recomputed — covering an element
 //    decrements the exact gain of every set containing it through the
@@ -98,35 +111,56 @@ struct McgResult {
 };
 
 struct ScgParams {
+  /// Upper end of the B* search window (the paper uses 1, the whole airtime).
   double budget_cap = 1.0;
+  /// Geometric grid points tried between the lower bound and budget_cap.
   int grid_points = 8;
+  /// Bisection refinements after the grid scan.
   int refine_steps = 6;
+  /// true (default): a group's spend carries over between MCG passes, so the
+  /// final max group cost is bounded by B* itself and the B* search directly
+  /// minimizes the objective. false: the paper's literal scheme — every pass
+  /// gets a fresh budget of B* per group (final max bounded only by
+  /// passes * B*, Theorem 4). Carrying over never violates the approximation
+  /// guarantee because the returned solution is graded by its actual max
+  /// group cost either way; DESIGN.md §5b discusses the deviation.
   bool carry_budgets = true;
 };
 
 struct ScgResult {
-  std::vector<int> chosen;
+  std::vector<int> chosen;         // set ids, selection order
   util::DynBitset covered;
-  bool feasible = false;
-  double bstar = 0.0;
-  double max_group_cost = 0.0;
-  std::vector<double> group_cost;
-  int passes = 0;
+  bool feasible = false;           // all target elements covered
+  double bstar = 0.0;              // the B* that produced `chosen`
+  double max_group_cost = 0.0;     // max over groups of summed chosen costs
+  std::vector<double> group_cost;  // per group
+  int passes = 0;                  // MCG passes used by the winning run
 };
 
 struct LayeringResult {
-  std::vector<int> chosen;
+  std::vector<int> chosen;  // sets picked across all layers
   util::DynBitset covered;
   double total_cost = 0.0;
   int layers = 0;
-  bool complete = false;
+  bool complete = false;  // every coverable element covered
 };
 
-/// CostSC greedy. Targets all coverable elements, or coverable ∩ restrict_to.
+/// CostSC greedy. Targets all coverable elements, or coverable ∩ restrict_to
+/// (SCG-style partial covers). Every pick is the eager argmax of gain/cost,
+/// ties to the lower set id.
 CoverResult greedy_cover(const CoverageEngine& eng, SolveWorkspace& ws,
                          const util::DynBitset* restrict_to = nullptr);
 
-/// The MCG greedy with the H1/H2 split (one budget per group).
+/// The MCG greedy with the H1/H2 split (one budget per group). If
+/// `restrict_to` is non-null only those elements count as coverage targets
+/// (SCG runs the greedy repeatedly on the shrinking remainder).
+///
+/// Deviations from the verbatim pseudo-code, both documented in DESIGN.md
+/// §5b:
+///  * sets whose own cost exceeds their group budget are never selected (the
+///    paper assumes c(S) <= B_i for the H2 feasibility argument);
+///  * zero-gain sets are never selected (the literal pseudo-code could burn
+///    group budgets on sets that cover nothing).
 McgResult mcg_cover(const CoverageEngine& eng, SolveWorkspace& ws,
                     std::span<const double> group_budgets,
                     const util::DynBitset* restrict_to = nullptr);
@@ -138,21 +172,35 @@ void mcg_cover_into(const CoverageEngine& eng, SolveWorkspace& ws,
                     std::span<const double> group_budgets,
                     const util::DynBitset* restrict_to, McgResult& res);
 
-/// Budget-respecting augmentation after the split; extends `covered` and
-/// `group_cost` in place and returns the sets it added.
+/// Greedy augmentation after the H1/H2 split: repeatedly adds the most
+/// cost-effective set that (a) covers something new and (b) fits entirely
+/// within its group's remaining budget — no violators this time. Extends
+/// `covered` and `group_cost` in place and returns the sets it added.
+/// Coverage only grows and budgets stay respected, so running this after the
+/// MCG greedy preserves the 8-approximation of Centralized MNU while
+/// recovering coverage the discarded half left behind (practical refinement;
+/// see DESIGN.md).
 std::vector<int> mcg_augment(const CoverageEngine& eng, SolveWorkspace& ws,
                              std::span<const double> group_budgets,
                              std::span<double> group_cost, util::DynBitset& covered,
                              const util::DynBitset* restrict_to = nullptr);
 
-/// SCG: geometric grid + bisection search for B*, repeated MCG passes.
-/// Targets all coverable elements, or coverable ∩ restrict_to (the sharded
-/// per-session path restricts each solve to one shard's elements).
+/// SCG: B* is searched over a geometric grid between the instance lower bound
+/// and params.budget_cap, refined by bisection, and the best feasible result
+/// is kept. Targets all coverable elements, or coverable ∩ restrict_to (the
+/// sharded per-session path restricts each solve to one shard's elements).
 ScgResult scg_cover(const CoverageEngine& eng, SolveWorkspace& ws,
                     const ScgParams& params = {},
                     const util::DynBitset* restrict_to = nullptr);
 
-/// Vazirani layering over the whole coverable ground set.
+/// Vazirani layering over the whole coverable ground set. Each layer peels
+/// off a degree-weighted portion of every residual set's cost; sets whose
+/// residual cost hits zero join the cover, covered elements leave the ground
+/// set, and the next layer recurses on what remains. An f-approximation,
+/// where f = max_element_frequency(eng): for the WLAN reduction, the largest
+/// number of candidate (AP, rate) transmissions any one user appears in, so
+/// the bound is a constant when every user hears a bounded number of APs
+/// (§6.1).
 LayeringResult layered_cover(const CoverageEngine& eng, SolveWorkspace& ws);
 
 /// Max number of live sets any coverable element appears in (the layering

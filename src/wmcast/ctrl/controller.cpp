@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <optional>
 
-#include "wmcast/assoc/policy.hpp"
+#include "wmcast/assoc/local_search.hpp"
 #include "wmcast/assoc/registry.hpp"
 #include "wmcast/ctrl/engine_source.hpp"
 #include "wmcast/util/assert.hpp"
@@ -16,11 +15,6 @@
 namespace wmcast::ctrl {
 
 namespace {
-
-assoc::Objective policy_objective(assoc::SearchObjective o) {
-  return o == assoc::SearchObjective::kMaxLoad ? assoc::Objective::kLoadVector
-                                               : assoc::Objective::kTotalLoad;
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -31,7 +25,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 AssociationController::AssociationController(const wlan::Scenario& initial,
                                              ControllerConfig cfg)
     : cfg_(std::move(cfg)),
-      state_(NetworkState::from_scenario(initial, cfg_.rate_table)),
+      state_(NetworkState::from_scenario(initial)),
       compact_sc_(initial),
       rng_(cfg_.seed),
       pool_(util::ThreadPool::resolve_threads(cfg_.threads)) {
@@ -39,6 +33,7 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
                 "AssociationController: unknown full solver '" + cfg_.full_solver + "'");
   util::require(cfg_.degradation_threshold >= 0.0,
                 "AssociationController: negative degradation threshold");
+  util::require(cfg_.k >= 1, "AssociationController: k must be >= 1");
   compact_sc_ = state_.to_scenario(&row_slot_);
   engine_.build_full(StateSource(state_), cfg_.multi_rate);
   sync_engine_stats(nullptr);
@@ -53,7 +48,6 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
   tele_.total_load.set(loads_.total_load);
   tele_.max_load.set(loads_.max_load);
   tele_.baseline_load.set(baseline_load_);
-  util::require(cfg_.k >= 1, "AssociationController: k must be >= 1");
   refresh_multi(nullptr);
 }
 
@@ -291,7 +285,7 @@ void AssociationController::refresh_multi(EpochReport* rep) {
   assoc::KconnParams kp;
   kp.k = cfg_.k;
   kp.multi_rate = cfg_.multi_rate;
-  kp.enforce_budget = cfg_.enforce_budget;
+  kp.enforce_budget = true;  // the controller always holds APs to their budget
 
   // The committed primary view in this epoch's row space.
   wlan::Association row_assoc = wlan::Association::none(n);
@@ -721,8 +715,8 @@ wlan::Association AssociationController::repair(const wlan::Scenario& sc,
                                                 const std::vector<int>& movable_rows,
                                                 bool polish) {
   const int n = sc.n_users();
-  // All per-AP/per-user scratch lives in the reusable workspace; the polish
-  // pass below re-prepares the same workspace once the lists here are spent.
+  // The per-AP member lists live in the reusable workspace, which the
+  // degradation fallback's warm local search also borrows.
   repair_ws_.prepare(sc.n_aps(), n);
   std::vector<int>& user_ap = repair_ws_.user_ap;
   user_ap = carried.user_ap;
@@ -733,107 +727,20 @@ wlan::Association AssociationController::repair(const wlan::Scenario& sc,
     }
   }
 
-  // Sharded fast path (ctrl/repair_shard.hpp): AP-disjoint component tasks
-  // across the pool, peel + greedy + task-local polish per shard. Bitwise
-  // identical at any thread count; kTotalLoad only.
-  if (cfg_.shard_repair && cfg_.objective == assoc::SearchObjective::kTotalLoad) {
-    RepairShardParams rp;
-    rp.enforce_budget = cfg_.enforce_budget;
-    rp.multi_rate = cfg_.multi_rate;
-    rp.polish = polish;
-    rp.polish_moves_per_dirty = cfg_.polish_moves_per_dirty;
-    rp.polish_min_gain = cfg_.polish_min_gain;
-    repair_sharded(sc, user_ap, members, movable_rows, rp, pool_, repair_lanes_,
-                   &last_repair_stats_);
-    tele_.engine_parallel_repair_calls.inc();
-    tele_.engine_parallel_repair_shards.inc(
-        static_cast<uint64_t>(last_repair_stats_.shards));
-    tele_.engine_parallel_repair_imbalance.set(last_repair_stats_.imbalance);
-    return wlan::Association{user_ap};
-  }
-  last_repair_stats_ = RepairShardStats{};
-
-  std::vector<int>& movable = repair_ws_.decision;  // 0/1 mask
-  movable.assign(static_cast<size_t>(n), 0);
-  std::vector<int> movers = movable_rows;
-  std::vector<int>& pending = repair_ws_.scratch;
-  pending.clear();
-  for (const int u : movable_rows) {
-    movable[static_cast<size_t>(u)] = 1;
-    if (user_ap[static_cast<size_t>(u)] == wlan::kNoAp) pending.push_back(u);
-  }
-
-  // Loads probed through the incremental model (wlan/load_model.hpp):
-  // bit-identical to the ap_load_for_members rescans this path used to run,
-  // at O(rate levels) per probe instead of O(members).
-  repair_model_.reset(sc, cfg_.multi_rate);
-  for (int u = 0; u < n; ++u) {
-    const int a = user_ap[static_cast<size_t>(u)];
-    if (a != wlan::kNoAp) {
-      repair_model_.add(a, sc.user_session(u), sc.link_rate(a, u));
-    }
-  }
-
-  // Budget peel over the carried part: a rate change or zap can push a kept
-  // AP over budget; evict whoever frees the most load and re-place them.
-  if (cfg_.enforce_budget) {
-    for (int a = 0; a < sc.n_aps(); ++a) {
-      auto& m = members[static_cast<size_t>(a)];
-      double load = repair_model_.load(a);
-      while (util::exceeds_budget(load, sc.load_budget()) && !m.empty()) {
-        int best_u = m.front();
-        double best_drop = -std::numeric_limits<double>::infinity();
-        for (const int u : m) {
-          const double drop = load - repair_model_.load_without(
-                                         a, sc.user_session(u), sc.link_rate(a, u));
-          if (drop > best_drop) {
-            best_drop = drop;
-            best_u = u;
-          }
-        }
-        m.erase(std::find(m.begin(), m.end(), best_u));
-        load = repair_model_.remove(a, sc.user_session(best_u),
-                                    sc.link_rate(a, best_u));
-        user_ap[static_cast<size_t>(best_u)] = wlan::kNoAp;
-        pending.push_back(best_u);
-        if (movable[static_cast<size_t>(best_u)] == 0) {
-          movable[static_cast<size_t>(best_u)] = 1;
-          movers.push_back(best_u);
-        }
-      }
-    }
-  }
-
-  // Greedy placement with the distributed decision rule.
-  assoc::PolicyParams pp;
-  pp.objective = policy_objective(cfg_.objective);
-  pp.enforce_budget = cfg_.enforce_budget;
-  pp.multi_rate = cfg_.multi_rate;
-  std::sort(pending.begin(), pending.end());
-  for (const int u : pending) {
-    const int a = assoc::choose_best_ap(sc, repair_model_, u, wlan::kNoAp, pp);
-    if (a != wlan::kNoAp) {
-      members[static_cast<size_t>(a)].push_back(u);
-      repair_model_.add(a, sc.user_session(u), sc.link_rate(a, u));
-      user_ap[static_cast<size_t>(u)] = a;
-    }
-  }
-
-  // Copy (not move) the assignment out: the workspace is reused by the
-  // restricted local search below and by the next epoch.
-  wlan::Association out{user_ap};
-  if (polish && !movers.empty()) {
-    assoc::LocalSearchParams lp;
-    lp.objective = cfg_.objective;
-    lp.enforce_budget = cfg_.enforce_budget;
-    lp.multi_rate = cfg_.multi_rate;
-    lp.max_moves =
-        std::max(100, cfg_.polish_moves_per_dirty * static_cast<int>(movers.size()));
-    lp.restrict_users = std::move(movers);
-    lp.min_gain = cfg_.polish_min_gain;
-    out = assoc::local_search(sc, out, lp, nullptr, &repair_ws_).assoc;
-  }
-  return out;
+  // AP-disjoint component tasks across the pool (ctrl/repair_shard.hpp):
+  // peel + greedy + task-local polish per shard, bitwise identical at any
+  // thread count.
+  RepairShardParams rp;
+  rp.multi_rate = cfg_.multi_rate;
+  rp.polish = polish;
+  rp.polish_min_gain = cfg_.polish_min_gain;
+  repair_sharded(sc, user_ap, members, movable_rows, rp, pool_, repair_lanes_,
+                 &last_repair_stats_);
+  tele_.engine_parallel_repair_calls.inc();
+  tele_.engine_parallel_repair_shards.inc(
+      static_cast<uint64_t>(last_repair_stats_.shards));
+  tele_.engine_parallel_repair_imbalance.set(last_repair_stats_.imbalance);
+  return wlan::Association{user_ap};
 }
 
 AssociationController::ChangeCount AssociationController::count_changes(
@@ -863,7 +770,6 @@ AssociationController::ChangeCount AssociationController::count_changes(
 EpochReport AssociationController::drain() {
   const auto t0 = std::chrono::steady_clock::now();
   auto events = queue_.drain(cfg_.max_batch);
-  if (cfg_.batch_hook) cfg_.batch_hook(epoch_index_, events);
 
   EpochReport rep;
   rep.epoch = epoch_index_;
@@ -938,11 +844,9 @@ EpochReport AssociationController::drain() {
   }
 
   // --- 3. dirty region + compact projection. -------------------------------
-  // Mark the APs the batch touched; eager mode re-projects their candidate
-  // sets now, lazy mode defers the rebuild until a full solve needs the
-  // engine (most serve epochs never do).
+  // Mark the APs the batch touched; their candidate sets are re-projected
+  // only when a full solve needs the engine (most serve epochs never do).
   mark_engine_dirty(next);
-  if (!cfg_.lazy_engine_refresh) flush_engine(next);
   const auto dirty_slots = compute_dirty_slots(state_, next, slot_ap_);
   rep.dirty_users = static_cast<int>(dirty_slots.size());
   tele_.dirty_region_size.record(static_cast<double>(dirty_slots.size()));
@@ -1029,8 +933,6 @@ EpochReport AssociationController::drain() {
     // band (rather than at a local optimum) keeps the burst short without
     // re-triggering next epoch.
     assoc::LocalSearchParams lp;
-    lp.objective = cfg_.objective;
-    lp.enforce_budget = cfg_.enforce_budget;
     lp.multi_rate = cfg_.multi_rate;
     if (still_degraded) {
       lp.target_total = baseline_load_ * (1.0 + 0.5 * cfg_.degradation_threshold);

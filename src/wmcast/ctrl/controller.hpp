@@ -9,8 +9,10 @@
 //   3. dirty region — users whose candidate-AP set or rate moved, plus
 //                   members of multicast groups whose bottleneck rate moved
 //                   (see compute_dirty_slots);
-//   4. incremental repair — carry everyone else, greedily re-place the dirty
-//                   region, polish with a dirty-restricted local search;
+//   4. incremental repair — carry everyone else; peel over-budget APs,
+//                   greedily re-place the dirty region and polish it with a
+//                   dirty-restricted local search, sharded over AP-disjoint
+//                   components (ctrl/repair_shard.hpp);
 //   5. bounded signaling — epoch snapshots allow rejecting any outcome whose
 //                   voluntary re-associations exceed max_reassoc_per_epoch,
 //                   rolling back to the minimal forced repair (quantifying
@@ -30,7 +32,6 @@
 #include <vector>
 
 #include "wmcast/assoc/kconn.hpp"
-#include "wmcast/assoc/local_search.hpp"
 #include "wmcast/assoc/solution.hpp"
 #include "wmcast/core/engine.hpp"
 #include "wmcast/core/solve.hpp"
@@ -39,12 +40,10 @@
 #include "wmcast/ctrl/repair_shard.hpp"
 #include "wmcast/ctrl/state.hpp"
 #include "wmcast/ctrl/telemetry.hpp"
-#include "wmcast/wlan/load_model.hpp"
 #include "wmcast/core/parallel.hpp"
 #include "wmcast/util/rng.hpp"
 #include "wmcast/util/thread_pool.hpp"
 #include "wmcast/wlan/association.hpp"
-#include "wmcast/wlan/rate_table.hpp"
 
 namespace wmcast::ctrl {
 
@@ -62,19 +61,10 @@ using AdmissionHook = std::function<bool(const JoinRequest& request,
                                          const std::vector<double>& ap_load,
                                          const NetworkState& state)>;
 
-/// Called on each drained batch (with the epoch index it will run as) before
-/// any event is validated or applied; free to mutate the batch — drop,
-/// duplicate, reorder, corrupt. The chaos harness (chaos/fault.hpp) injects
-/// faults through this seam; leave unset in production.
-using BatchHook = std::function<void(int epoch, std::vector<Event>& batch)>;
-
 struct ControllerConfig {
   /// Registry name of the full re-solve fallback (mla-c, bla-c, mnu-c, ...).
   std::string full_solver = "mla-c";
-  /// Objective steering the greedy repair and the local-search polish.
-  assoc::SearchObjective objective = assoc::SearchObjective::kTotalLoad;
   bool multi_rate = true;
-  bool enforce_budget = true;
   /// Repaired total load may exceed the full-solve baseline by this relative
   /// factor before a full re-solve is triggered (0.10 = 10%).
   double degradation_threshold = 0.10;
@@ -88,30 +78,18 @@ struct ControllerConfig {
   /// Gate joins on per-AP load budgets (default hook) or `admission_hook`.
   bool admission_control = true;
   AdmissionHook admission_hook;  // overrides the built-in budget check
-  /// Mutates each drained batch before it is applied (fault injection).
-  BatchHook batch_hook;
   /// Max events per drain (<= 0 drains everything pending).
   int max_batch = 0;
-  /// Local-search polish budget: moves allowed per dirty user.
-  int polish_moves_per_dirty = 50;
   /// Minimum load improvement a polish move must buy to justify the handoff
   /// it costs (local_search's min_gain). 0 = accept any improvement.
   double polish_min_gain = 0.02;
-  /// Rate table for link-rate updates as users move (must match the one the
-  /// seed scenario was generated with).
-  wlan::RateTable rate_table = wlan::RateTable::ieee80211a();
   uint64_t seed = 1;
   /// Worker threads for the epoch full-solve's sharded per-session path
-  /// (core/parallel.hpp) and the sharded incremental repair below. 1 = serial
-  /// (the reference semantics); <= 0 resolves WMCAST_THREADS, else 1. The
-  /// committed association is identical at any thread count (DESIGN.md §9,
-  /// §14).
+  /// (core/parallel.hpp) and the sharded incremental repair
+  /// (ctrl/repair_shard.hpp). 1 = serial (the reference semantics); <= 0
+  /// resolves WMCAST_THREADS, else 1. The committed association is identical
+  /// at any thread count (DESIGN.md §9, §14).
   int threads = 1;
-  /// Shard the incremental repair into AP-disjoint component tasks across the
-  /// pool (ctrl/repair_shard.hpp). kTotalLoad only — other objectives keep
-  /// the sequential path. The repaired association is bitwise identical at
-  /// any thread count.
-  bool shard_repair = true;
   /// Maximum serving APs per user (DESIGN.md §15-16). 1 = the paper's
   /// single-AP model: nothing changes, bit for bit. k >= 2 maintains a
   /// k-connectivity overlay (multi_assoc()/multi_loads()) on top of the
@@ -128,13 +106,6 @@ struct ControllerConfig {
   /// false = re-derive the whole overlay every non-quiescent epoch (the cold
   /// reference path, kept for benches and differential tests).
   bool kconn_incremental = true;
-  /// Defer coverage-engine group rebuilds until a full solve actually needs
-  /// the engine: each drain runs only the cheap dirty-marking pass, and the
-  /// accumulated marks flush right before the next full solve. Epochs that
-  /// never escalate skip re-projection entirely. The committed association is
-  /// unchanged; only the timing of the engine_* maintenance counters moves
-  /// (they land on the flushing epoch).
-  bool lazy_engine_refresh = true;
 };
 
 /// What one drain()/epoch did, for logs and benches. Cumulative counterparts
@@ -161,13 +132,14 @@ struct EpochReport {
   double baseline_load = 0.0;
   double drain_seconds = 0.0;
   // Sharded-repair accounting for the repair that produced the committed
-  // association (zeros on the sequential path).
+  // association.
   int repair_shards = 0;
   double repair_imbalance = 0.0;
   // Coverage-engine maintenance this epoch (rebuild-vs-repair accounting):
   // how many APs' candidate sets were re-projected, and the set churn that
-  // caused. A quiescent epoch reports all zeros; under lazy_engine_refresh
-  // deferred work lands on the epoch that flushed it.
+  // caused. A quiescent epoch reports all zeros. Rebuilds are deferred until
+  // a full solve needs the engine, so they land on the epoch that flushed
+  // them.
   int engine_groups_rebuilt = 0;
   int engine_sets_rebuilt = 0;
   int engine_sets_retired = 0;
@@ -187,8 +159,11 @@ struct EpochReport {
 class AssociationController {
  public:
   /// Seeds the controller from a geometric scenario (all users present and
-  /// subscribed) and computes the initial association + baseline with the
-  /// configured full solver.
+  /// subscribed; moved users' link rates come from the scenario's own rate
+  /// table) and computes the initial association + baseline with the
+  /// configured full solver. An invalid config (unknown full_solver, negative
+  /// degradation_threshold, k < 1) throws std::invalid_argument before any
+  /// of that work starts.
   explicit AssociationController(const wlan::Scenario& initial,
                                  ControllerConfig cfg = {});
 
@@ -226,9 +201,9 @@ class AssociationController {
   const Telemetry& telemetry() const { return tele_; }
 
   /// The slot-space coverage engine. Exposed for benches and tests; treat as
-  /// read-only. Under lazy_engine_refresh it reflects the state as of the
-  /// last full solve (dirty marks accumulate until then); with the flag off
-  /// it is kept current with state() every epoch.
+  /// read-only. It reflects the state as of the last full solve: each drain
+  /// only marks the groups it touched, and the marks flush right before the
+  /// next full solve.
   const core::CoverageEngine& engine() const { return engine_; }
 
  private:
@@ -299,8 +274,7 @@ class AssociationController {
   core::SessionShards shards_;       // rebuilt before each sharded full solve
   core::ShardWorkspaces shard_ws_;   // one solve workspace per pool lane
   core::AssocWorkspace repair_ws_;
-  wlan::LoadModel repair_model_;               // sequential-path load probes
-  std::vector<RepairLaneWorkspace> repair_lanes_;  // sharded-path lane scratch
+  std::vector<RepairLaneWorkspace> repair_lanes_;  // per-pool-lane repair scratch
   RepairShardStats last_repair_stats_;
   std::vector<int> dirty_groups_;
   std::vector<char> group_mark_;

@@ -16,6 +16,9 @@ namespace {
 /// accept/reject arithmetic, only against task-local totals.
 constexpr double kImproveEps = 1e-12;
 
+/// Polish budget: moves allowed per dirty user (at least 100 per task).
+constexpr int kPolishMovesPerDirty = 50;
+
 int find_root(std::vector<int>& parent, int a) {
   while (parent[static_cast<size_t>(a)] != a) {
     parent[static_cast<size_t>(a)] = parent[static_cast<size_t>(parent[static_cast<size_t>(a)])];
@@ -47,7 +50,7 @@ void polish_task(const wlan::Scenario& sc, const RepairShardParams& params,
     if (user_ap[static_cast<size_t>(u)] != wlan::kNoAp) ++served;
   }
   const int max_moves =
-      std::max(100, params.polish_moves_per_dirty * static_cast<int>(movers.size()));
+      std::max(100, kPolishMovesPerDirty * static_cast<int>(movers.size()));
 
   struct Key {
     double k1, k2;
@@ -90,8 +93,7 @@ void polish_task(const wlan::Scenario& sc, const RepairShardParams& params,
         double t = total;
         if (cur != wlan::kNoAp) t += d_un;
         t += d_pl;
-        const bool feasible =
-            !params.enforce_budget || util::fits_budget(la_w, sc.load_budget());
+        const bool feasible = util::fits_budget(la_w, sc.load_budget());
         const Key k{static_cast<double>(-probe_served), t};
         t -= d_pl;
         if (cur != wlan::kNoAp) t -= d_un;
@@ -144,18 +146,16 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
     for (size_t i = 1; i < nb.size(); ++i) unite(parent, nb[0], nb[i]);
   }
   std::vector<int> over_budget;
-  if (params.enforce_budget) {
-    for (int a = 0; a < n_aps; ++a) {
-      const double load = wlan::ap_load_for_members(
-          sc, a, members[static_cast<size_t>(a)], params.multi_rate);
-      if (util::exceeds_budget(load, sc.load_budget())) over_budget.push_back(a);
-    }
-    // Evictions turn an over-budget AP's members into movers: close the
-    // component over every candidate AP they could land on.
-    for (const int a : over_budget) {
-      for (const int u : members[static_cast<size_t>(a)]) {
-        for (const int b : sc.aps_of_user(u)) unite(parent, a, b);
-      }
+  for (int a = 0; a < n_aps; ++a) {
+    const double load = wlan::ap_load_for_members(
+        sc, a, members[static_cast<size_t>(a)], params.multi_rate);
+    if (util::exceeds_budget(load, sc.load_budget())) over_budget.push_back(a);
+  }
+  // Evictions turn an over-budget AP's members into movers: close the
+  // component over every candidate AP they could land on.
+  for (const int a : over_budget) {
+    for (const int u : members[static_cast<size_t>(a)]) {
+      for (const int b : sc.aps_of_user(u)) unite(parent, a, b);
     }
   }
 
@@ -238,7 +238,6 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
 
   assoc::PolicyParams pp;
   pp.objective = assoc::Objective::kTotalLoad;
-  pp.enforce_budget = params.enforce_budget;
   pp.multi_rate = params.multi_rate;
 
   pool.parallel_for(0, n_tasks, [&](int64_t b, int64_t e, int lane) {
@@ -260,29 +259,27 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
       }
 
       // Budget peel: evict whoever frees the most load and re-place them.
-      if (params.enforce_budget) {
-        for (const int a : aps) {
-          auto& m = members[static_cast<size_t>(a)];
-          double load = ws.model.load(a);
-          while (util::exceeds_budget(load, sc.load_budget()) && !m.empty()) {
-            int best_u = m.front();
-            double best_drop = -std::numeric_limits<double>::infinity();
-            for (const int u : m) {
-              const double drop =
-                  load - ws.model.load_without(a, sc.user_session(u), sc.link_rate(a, u));
-              if (drop > best_drop) {
-                best_drop = drop;
-                best_u = u;
-              }
+      for (const int a : aps) {
+        auto& m = members[static_cast<size_t>(a)];
+        double load = ws.model.load(a);
+        while (util::exceeds_budget(load, sc.load_budget()) && !m.empty()) {
+          int best_u = m.front();
+          double best_drop = -std::numeric_limits<double>::infinity();
+          for (const int u : m) {
+            const double drop =
+                load - ws.model.load_without(a, sc.user_session(u), sc.link_rate(a, u));
+            if (drop > best_drop) {
+              best_drop = drop;
+              best_u = u;
             }
-            m.erase(std::find(m.begin(), m.end(), best_u));
-            load = ws.model.remove(a, sc.user_session(best_u), sc.link_rate(a, best_u));
-            user_ap[static_cast<size_t>(best_u)] = wlan::kNoAp;
-            ws.pending.push_back(best_u);
-            if (movable[static_cast<size_t>(best_u)] == 0) {
-              movable[static_cast<size_t>(best_u)] = 1;
-              ws.movers.push_back(best_u);
-            }
+          }
+          m.erase(std::find(m.begin(), m.end(), best_u));
+          load = ws.model.remove(a, sc.user_session(best_u), sc.link_rate(a, best_u));
+          user_ap[static_cast<size_t>(best_u)] = wlan::kNoAp;
+          ws.pending.push_back(best_u);
+          if (movable[static_cast<size_t>(best_u)] == 0) {
+            movable[static_cast<size_t>(best_u)] = 1;
+            ws.movers.push_back(best_u);
           }
         }
       }

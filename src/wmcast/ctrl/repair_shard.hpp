@@ -30,7 +30,8 @@
 //
 // Only the kTotalLoad objective is supported: the kMaxLoad key compares
 // against the global maximum, which no AP-disjoint partition can evaluate
-// locally. The controller keeps those objectives on the sequential path.
+// locally. This is the controller's only repair path, so its incremental
+// repair always minimizes total load, holding every AP to its load budget.
 #pragma once
 
 #include <vector>
@@ -43,11 +44,9 @@ namespace wmcast::ctrl {
 
 /// Knobs mirrored from ControllerConfig for one repair call.
 struct RepairShardParams {
-  bool enforce_budget = true;
   bool multi_rate = true;
   /// Run the restricted local-search polish after peel + greedy.
   bool polish = true;
-  int polish_moves_per_dirty = 50;
   double polish_min_gain = 0.02;
 };
 

@@ -9,12 +9,12 @@
 
 namespace wmcast::ctrl {
 
-NetworkState NetworkState::from_scenario(const wlan::Scenario& sc, wlan::RateTable table) {
-  util::require(sc.has_geometry(),
+NetworkState NetworkState::from_scenario(const wlan::Scenario& sc) {
+  util::require(sc.has_geometry() && sc.rate_table() != nullptr,
                 "NetworkState: needs a geometric scenario (positions drive moves)");
   NetworkState st;
   st.ap_pos_ = sc.ap_positions();
-  st.table_ = std::move(table);
+  st.table_ = *sc.rate_table();
   st.ap_grid_ = wlan::GridIndex(st.ap_pos_, st.table_.range_m());
   st.budget_ = sc.load_budget();
   st.session_rate_.resize(static_cast<size_t>(sc.n_sessions()));

@@ -34,11 +34,11 @@ class NetworkState {
   NetworkState() = default;
 
   /// Seeds the state from a geometric scenario: every scenario user becomes a
-  /// present, subscribed slot (slot id == scenario user id). The rate table
-  /// must match the one the scenario was built with (the scenario itself does
-  /// not retain it).
-  static NetworkState from_scenario(const wlan::Scenario& sc,
-                                    wlan::RateTable table = wlan::RateTable::ieee80211a());
+  /// present, subscribed slot (slot id == scenario user id), and link rates
+  /// follow the rate table the scenario was built with. Throws
+  /// std::invalid_argument for explicit-link scenarios, which carry no
+  /// positions to move.
+  static NetworkState from_scenario(const wlan::Scenario& sc);
 
   int n_aps() const { return static_cast<int>(ap_pos_.size()); }
   int n_slots() const { return static_cast<int>(slots_.size()); }

@@ -1,14 +1,12 @@
 #include "wmcast/ctrl/telemetry.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <iterator>
 #include <limits>
 
 #include "wmcast/ctrl/events.hpp"
 #include "wmcast/util/assert.hpp"
 #include "wmcast/util/histogram.hpp"
-#include "wmcast/util/stats.hpp"
 
 namespace wmcast::ctrl {
 
@@ -113,73 +111,6 @@ util::Json Telemetry::to_json() const {
   j.set("gauges", std::move(gauges));
   j.set("histograms", std::move(histograms));
   return j;
-}
-
-std::string Telemetry::to_text() const {
-  std::string out;
-  char buf[160];
-  const auto line = [&](const char* k, uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "  %-24s %llu\n", k,
-                  static_cast<unsigned long long>(v));
-    out += buf;
-  };
-  out += "counters:\n";
-  line("events_ingested", events_ingested.value());
-  line("events_applied", events_applied.value());
-  line("events_coalesced", events_coalesced.value());
-  line("events_invalid", events_invalid.value());
-  line("drains", drains.value());
-  line("epochs", epochs.value());
-  line("incremental_repairs", incremental_repairs.value());
-  line("warm_escalations", warm_escalations.value());
-  line("full_solves", full_solves.value());
-  line("baseline_refreshes", baseline_refreshes.value());
-  line("rollbacks", rollbacks.value());
-  line("full_solve_rejections", full_solve_rejections.value());
-  line("joins_admitted", joins_admitted.value());
-  line("joins_rejected", joins_rejected.value());
-  line("reassociations", reassociations.value());
-  line("handoffs", handoffs.value());
-  line("forced_reassociations", forced_reassociations.value());
-  line("engine_full_builds", engine_full_builds.value());
-  line("engine_incremental_updates", engine_incremental_updates.value());
-  line("engine_groups_rebuilt", engine_groups_rebuilt.value());
-  line("engine_sets_rebuilt", engine_sets_rebuilt.value());
-  line("engine_sets_retired", engine_sets_retired.value());
-  line("engine_compactions", engine_compactions.value());
-  line("engine_parallel_solves", engine_parallel_solves.value());
-  line("engine_parallel_tasks", engine_parallel_tasks.value());
-  line("engine_parallel_repair_calls", engine_parallel_repair_calls.value());
-  line("engine_parallel_repair_shards", engine_parallel_repair_shards.value());
-  line("engine_kconn_repairs", engine_kconn_repairs.value());
-  line("engine_kconn_repaired_users", engine_kconn_repaired_users.value());
-  line("engine_kconn_carried_users", engine_kconn_carried_users.value());
-  line("engine_kconn_rebuilds", engine_kconn_rebuilds.value());
-  out += "gauges:\n";
-  const auto gline = [&](const char* k, double v) {
-    std::snprintf(buf, sizeof(buf), "  %-24s %s\n", k, util::fmt(v, 4).c_str());
-    out += buf;
-  };
-  gline("users_present", users_present.value());
-  gline("users_subscribed", users_subscribed.value());
-  gline("users_served", users_served.value());
-  gline("total_load", total_load.value());
-  gline("max_load", max_load.value());
-  gline("baseline_load", baseline_load.value());
-  gline("degradation_pct", degradation_pct.value());
-  gline("queue_depth", queue_depth.value());
-  gline("engine_parallel_workers", engine_parallel_workers.value());
-  gline("engine_parallel_imbalance", engine_parallel_imbalance.value());
-  gline("engine_parallel_repair_imbalance",
-        engine_parallel_repair_imbalance.value());
-  gline("engine_parallel_arena_peak_bytes",
-        engine_parallel_arena_peak_bytes.value());
-  gline("engine_parallel_arena_reserved_bytes",
-        engine_parallel_arena_reserved_bytes.value());
-  out += "dirty_region_size:\n" + dirty_region_size.render();
-  out += "reassoc_per_epoch:\n" + reassoc_per_epoch.render();
-  out += "drain_seconds:\n" + drain_seconds.render();
-  return out;
 }
 
 }  // namespace wmcast::ctrl

@@ -1,11 +1,10 @@
 // Built-in telemetry for the association controller: monotonic counters,
 // gauges, and bucketed histograms (log-scaled latency / size distributions),
 // dumped as JSON under the documented `wmcast-ctrl-telemetry/v1` schema (see
-// DESIGN.md §Controller) or rendered as text via util/histogram.
+// DESIGN.md §Controller).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "wmcast/util/histogram.hpp"
@@ -115,8 +114,6 @@ struct Telemetry {
 
   /// Serializes under the wmcast-ctrl-telemetry/v1 schema.
   util::Json to_json() const;
-  /// Human-readable dump (counters table + rendered histograms).
-  std::string to_text() const;
 };
 
 }  // namespace wmcast::ctrl

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "wmcast/setcover/scg.hpp"
+#include "wmcast/core/solve.hpp"
 #include "wmcast/util/assert.hpp"
 
 namespace wmcast::exact {
@@ -102,7 +102,9 @@ ExactMinMaxResult exact_min_max_cover(const setcover::SetSystem& sys,
   }
 
   // Warm start from the SCG approximation.
-  const auto scg = setcover::scg_solve(sys);
+  const core::CoverageEngine eng = setcover::to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto scg = core::scg_cover(eng, ws);
   if (scg.feasible) {
     s.best_max = scg.max_group_cost;
     s.best_chosen = scg.chosen;

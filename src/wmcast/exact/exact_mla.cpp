@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "wmcast/setcover/greedy.hpp"
+#include "wmcast/core/solve.hpp"
 #include "wmcast/util/assert.hpp"
 
 namespace wmcast::exact {
@@ -117,7 +117,9 @@ ExactCoverResult exact_min_cost_cover(const setcover::SetSystem& sys,
   sys.coverable().for_each([&](int e) { s.share[static_cast<size_t>(e)] = min_share[static_cast<size_t>(e)]; });
 
   // Warm start from the greedy cover.
-  const auto greedy = setcover::greedy_set_cover(sys);
+  const core::CoverageEngine eng = setcover::to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto greedy = core::greedy_cover(eng, ws);
   if (greedy.complete) {
     s.best_cost = greedy.total_cost;
     s.best_chosen = greedy.chosen;

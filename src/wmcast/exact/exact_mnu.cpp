@@ -4,7 +4,7 @@
 #include <cmath>
 #include <functional>
 
-#include "wmcast/setcover/mcg.hpp"
+#include "wmcast/core/solve.hpp"
 #include "wmcast/util/assert.hpp"
 
 namespace wmcast::exact {
@@ -249,7 +249,9 @@ ExactMnuResult exact_max_coverage(const setcover::SetSystem& sys,
                 "exact_max_coverage: one budget per group required");
 
   // Warm start from the MCG greedy (both searchers start from it).
-  const auto greedy = setcover::mcg_greedy(sys, group_budgets);
+  const core::CoverageEngine eng = setcover::to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto greedy = core::mcg_cover(eng, ws, group_budgets);
   const int warm_covered = greedy.covered.count();
 
   // Try the groupwise searcher first.

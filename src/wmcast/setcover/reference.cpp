@@ -9,12 +9,12 @@
 
 namespace wmcast::setcover {
 
-GreedyCoverResult greedy_set_cover_reference(const SetSystem& sys,
+core::CoverResult greedy_set_cover_reference(const SetSystem& sys,
                                              const util::DynBitset* restrict_to) {
   util::DynBitset remaining = sys.coverable();
   if (restrict_to != nullptr) remaining.and_assign(*restrict_to);
 
-  GreedyCoverResult res;
+  core::CoverResult res;
   res.covered = util::DynBitset(sys.n_elements());
 
   while (remaining.any()) {
@@ -39,8 +39,9 @@ GreedyCoverResult greedy_set_cover_reference(const SetSystem& sys,
   return res;
 }
 
-McgResult mcg_greedy_reference(const SetSystem& sys, std::span<const double> group_budgets,
-                               const util::DynBitset* restrict_to) {
+core::McgResult mcg_greedy_reference(const SetSystem& sys,
+                                     std::span<const double> group_budgets,
+                                     const util::DynBitset* restrict_to) {
   util::require(static_cast<int>(group_budgets.size()) == sys.n_groups(),
                 "mcg_greedy_reference: one budget per group required");
 
@@ -50,7 +51,7 @@ McgResult mcg_greedy_reference(const SetSystem& sys, std::span<const double> gro
 
   std::vector<double> group_cost(static_cast<size_t>(sys.n_groups()), 0.0);
 
-  McgResult res;
+  core::McgResult res;
   res.covered_h = util::DynBitset(sys.n_elements());
 
   while (remaining.any()) {
@@ -105,9 +106,9 @@ McgResult mcg_greedy_reference(const SetSystem& sys, std::span<const double> gro
 
 namespace {
 
-ScgResult scg_run_at_budget_reference(const SetSystem& sys, double bstar, int max_passes,
-                                      bool carry_budgets) {
-  ScgResult res;
+core::ScgResult scg_run_at_budget_reference(const SetSystem& sys, double bstar,
+                                            int max_passes, bool carry_budgets) {
+  core::ScgResult res;
   res.bstar = bstar;
   res.covered = util::DynBitset(sys.n_elements());
   res.group_cost.assign(static_cast<size_t>(sys.n_groups()), 0.0);
@@ -121,7 +122,7 @@ ScgResult scg_run_at_budget_reference(const SetSystem& sys, double bstar, int ma
             std::max(0.0, bstar - res.group_cost[static_cast<size_t>(g)]);
       }
     }
-    const McgResult mcg = mcg_greedy_reference(sys, pass_budget, &remaining);
+    const core::McgResult mcg = mcg_greedy_reference(sys, pass_budget, &remaining);
     if (mcg.covered.none()) break;
     ++res.passes;
     for (const int j : mcg.chosen) {
@@ -139,7 +140,7 @@ ScgResult scg_run_at_budget_reference(const SetSystem& sys, double bstar, int ma
   return res;
 }
 
-bool scg_better_reference(const ScgResult& a, const ScgResult& b) {
+bool scg_better_reference(const core::ScgResult& a, const core::ScgResult& b) {
   if (a.feasible != b.feasible) return a.feasible;
   if (!a.feasible) return a.covered.count() > b.covered.count();
   return a.max_group_cost < b.max_group_cost;
@@ -147,7 +148,7 @@ bool scg_better_reference(const ScgResult& a, const ScgResult& b) {
 
 }  // namespace
 
-ScgResult scg_solve_reference(const SetSystem& sys, const ScgParams& params) {
+core::ScgResult scg_solve_reference(const SetSystem& sys, const core::ScgParams& params) {
   util::require(params.budget_cap > 0.0, "scg_solve_reference: budget cap must be positive");
   util::require(params.grid_points >= 2, "scg_solve_reference: need at least two grid points");
 
@@ -158,14 +159,14 @@ ScgResult scg_solve_reference(const SetSystem& sys, const ScgParams& params) {
   const double lo = std::max(sys.min_feasible_budget(), 1e-9);
   const double hi = std::max(params.budget_cap, lo);
 
-  ScgResult best = scg_run_at_budget_reference(sys, lo, max_passes, params.carry_budgets);
+  core::ScgResult best = scg_run_at_budget_reference(sys, lo, max_passes, params.carry_budgets);
   double largest_infeasible = best.feasible ? 0.0 : lo;
 
   const double ratio = hi / lo;
   for (int k = 1; k < params.grid_points; ++k) {
     const double b =
         lo * std::pow(ratio, static_cast<double>(k) / (params.grid_points - 1));
-    ScgResult r = scg_run_at_budget_reference(sys, b, max_passes, params.carry_budgets);
+    core::ScgResult r = scg_run_at_budget_reference(sys, b, max_passes, params.carry_budgets);
     if (!r.feasible) largest_infeasible = std::max(largest_infeasible, b);
     if (scg_better_reference(r, best)) best = std::move(r);
   }
@@ -177,7 +178,7 @@ ScgResult scg_solve_reference(const SetSystem& sys, const ScgParams& params) {
       if (feasible_hi - infeasible_lo < 1e-6) break;
       const double mid = infeasible_lo <= 0.0 ? feasible_hi / 2
                                               : 0.5 * (infeasible_lo + feasible_hi);
-      ScgResult r = scg_run_at_budget_reference(sys, mid, max_passes, params.carry_budgets);
+      core::ScgResult r = scg_run_at_budget_reference(sys, mid, max_passes, params.carry_budgets);
       if (r.feasible) {
         feasible_hi = mid;
         if (scg_better_reference(r, best)) best = std::move(r);

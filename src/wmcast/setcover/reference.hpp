@@ -11,18 +11,18 @@
 
 #include <span>
 
-#include "wmcast/setcover/greedy.hpp"
-#include "wmcast/setcover/mcg.hpp"
-#include "wmcast/setcover/scg.hpp"
+#include "wmcast/core/solve.hpp"
+#include "wmcast/setcover/set_system.hpp"
 
 namespace wmcast::setcover {
 
-GreedyCoverResult greedy_set_cover_reference(const SetSystem& sys,
+core::CoverResult greedy_set_cover_reference(const SetSystem& sys,
                                              const util::DynBitset* restrict_to = nullptr);
 
-McgResult mcg_greedy_reference(const SetSystem& sys, std::span<const double> group_budgets,
-                               const util::DynBitset* restrict_to = nullptr);
+core::McgResult mcg_greedy_reference(const SetSystem& sys,
+                                     std::span<const double> group_budgets,
+                                     const util::DynBitset* restrict_to = nullptr);
 
-ScgResult scg_solve_reference(const SetSystem& sys, const ScgParams& params = {});
+core::ScgResult scg_solve_reference(const SetSystem& sys, const core::ScgParams& params = {});
 
 }  // namespace wmcast::setcover

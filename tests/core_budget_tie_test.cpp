@@ -84,7 +84,7 @@ TEST(BudgetTie, ReferenceMcgAgreesAtTheTiePoint) {
   const std::vector<double> budgets{kBudget};
   const auto ref = setcover::mcg_greedy_reference(sys, budgets);
   ASSERT_EQ(ref.h.size(), 3u);
-  for (const bool v : ref.violator) EXPECT_FALSE(v);
+  for (const char v : ref.violator) EXPECT_EQ(v, 0);
   EXPECT_EQ(ref.covered.count(), 6);
 
   // Engine and reference must agree pick-for-pick at the tie.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
 #include "wmcast/assoc/registry.hpp"
 #include "wmcast/ctrl/trace.hpp"
@@ -69,21 +70,38 @@ TEST(Controller, NonFiniteEventsAreCountedNotFatal) {
   EXPECT_EQ(c.state().n_slots(), 2) << "the corrupted join must not take a slot";
 }
 
-TEST(Controller, BatchHookSeesAndMutatesEachDrain) {
-  ControllerConfig cfg;
-  std::vector<int> hook_epochs;
-  cfg.batch_hook = [&](int epoch, std::vector<Event>& batch) {
-    hook_epochs.push_back(epoch);
-    batch.clear();  // drop everything: the epoch must be quiescent
-  };
-  AssociationController c(two_ap_scenario({{10, 0}, {120, 0}}, {0, 1}), cfg);
-  c.submit({Event::join(2, {20, 0}, 0)});
-  const auto rep = c.drain();
-  EXPECT_EQ(rep.events, 0) << "hook dropped the batch before accounting";
-  EXPECT_EQ(rep.events_applied, 0);
-  EXPECT_EQ(c.state().n_slots(), 2);
-  c.drain();
-  EXPECT_EQ(hook_epochs, (std::vector<int>{0, 1}));
+TEST(Controller, RejectsInvalidConfig) {
+  const auto sc = two_ap_scenario({{10, 0}, {120, 0}}, {0, 1});
+  ControllerConfig zero_k;
+  zero_k.k = 0;
+  EXPECT_THROW(AssociationController(sc, zero_k), std::invalid_argument);
+  ControllerConfig negative_threshold;
+  negative_threshold.degradation_threshold = -0.1;
+  EXPECT_THROW(AssociationController(sc, negative_threshold), std::invalid_argument);
+  ControllerConfig unknown_solver;
+  unknown_solver.full_solver = "no-such-solver";
+  EXPECT_THROW(AssociationController(sc, unknown_solver), std::invalid_argument);
+}
+
+TEST(Controller, PlansOnTheSeedScenariosRateTable) {
+  // A scenario built with a longer-range table: projecting it with the
+  // default 802.11a table would drop and re-rate most of its links.
+  wlan::GeneratorParams p;
+  p.n_aps = 30;
+  p.n_users = 200;
+  p.rate_table = wlan::RateTable::ieee80211a().scaled_range(1.5);
+  util::Rng rng(41);
+  const auto sc = wlan::generate_scenario(p, rng);
+  AssociationController c(sc);
+  EXPECT_TRUE(c.state().rate_table() == p.rate_table);
+  const wlan::Scenario& planned = c.scenario();
+  ASSERT_EQ(planned.n_users(), sc.n_users());
+  EXPECT_EQ(planned.n_links(), sc.n_links());
+  for (int a = 0; a < sc.n_aps(); ++a) {
+    for (int u = 0; u < sc.n_users(); ++u) {
+      ASSERT_EQ(planned.link_rate(a, u), sc.link_rate(a, u)) << "AP " << a << " user " << u;
+    }
+  }
 }
 
 TEST(Controller, SignalingCapRollsBackVoluntaryMoves) {

@@ -49,7 +49,7 @@ void expect_matches_cold(const AssociationController& c,
   assoc::KconnParams kp;
   kp.k = cfg.k;
   kp.multi_rate = cfg.multi_rate;
-  kp.enforce_budget = cfg.enforce_budget;
+  kp.enforce_budget = true;  // as the controller does
   wlan::Association base = wlan::Association::none(sc.n_users());
   for (int r = 0; r < sc.n_users(); ++r) {
     base.user_ap[static_cast<size_t>(r)] =

@@ -242,7 +242,6 @@ TEST(RepairShard, SignalingCapRollsBackMergedResult) {
   for (const int threads : {1, 4}) {
     ControllerConfig cfg;
     cfg.threads = threads;
-    cfg.shard_repair = true;
     cfg.max_reassoc_per_epoch = 0;
     AssociationController c(sc, cfg);
     for (const auto& epoch : trace.epochs) {

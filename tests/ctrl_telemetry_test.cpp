@@ -112,14 +112,5 @@ TEST(Telemetry, JsonMatchesTheDocumentedSchema) {
   EXPECT_EQ(reparsed.find("schema")->as_string(), kTelemetrySchema);
 }
 
-TEST(Telemetry, TextRenderingMentionsEveryInstrument) {
-  Telemetry t;
-  t.epochs.inc(3);
-  const auto text = t.to_text();
-  EXPECT_NE(text.find("epochs"), std::string::npos);
-  EXPECT_NE(text.find("handoffs"), std::string::npos);
-  EXPECT_NE(text.find("dirty_region_size"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace wmcast::ctrl

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "test_fixtures.hpp"
+#include "wmcast/core/solve.hpp"
 #include "wmcast/exact/exact_mla.hpp"
-#include "wmcast/setcover/greedy.hpp"
 #include "wmcast/setcover/reduction.hpp"
 #include "wmcast/util/rng.hpp"
 #include "wmcast/wlan/scenario_generator.hpp"
@@ -91,7 +91,9 @@ TEST(DualAscent, FrequencyBoundHolds) {
   const auto sc = test::fig1_scenario(1.0);
   const auto sys = setcover::build_set_system(sc);
   const auto dual = set_cover_dual_ascent(sys);
-  const auto greedy = setcover::greedy_set_cover(sys);
+  const core::CoverageEngine eng = setcover::to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto greedy = core::greedy_cover(eng, ws);
   ASSERT_TRUE(greedy.complete);
   // f = 3 on this instance (see layering tests).
   EXPECT_LE(greedy.total_cost, 3.0 * dual.lower_bound + 1e-9);

@@ -8,12 +8,9 @@
 #include "wmcast/assoc/local_search.hpp"
 #include "wmcast/assoc/ssa.hpp"
 #include "wmcast/ext/locks.hpp"
-#include "wmcast/setcover/greedy.hpp"
-#include "wmcast/setcover/layering.hpp"
-#include "wmcast/setcover/mcg.hpp"
+#include "wmcast/core/solve.hpp"
 #include "wmcast/setcover/reduction.hpp"
 #include "wmcast/setcover/reference.hpp"
-#include "wmcast/setcover/scg.hpp"
 #include "wmcast/util/rng.hpp"
 #include "wmcast/wlan/scenario_generator.hpp"
 #include "wmcast/wlan/serialization.hpp"
@@ -112,9 +109,11 @@ TEST_P(FuzzInvariants, AllAlgorithmsAllInvariants) {
   // Set-cover layer: greedy and layering both produce complete covers.
   const auto sys = setcover::build_set_system(sc);
   EXPECT_EQ(sys.coverable().count(), sc.n_coverable_users());
-  const auto greedy = setcover::greedy_set_cover(sys);
+  const core::CoverageEngine eng = setcover::to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto greedy = core::greedy_cover(eng, ws);
   EXPECT_TRUE(greedy.complete);
-  const auto layered = setcover::layered_set_cover(sys);
+  const auto layered = core::layered_cover(eng, ws);
   EXPECT_TRUE(layered.complete);
 
   // Serialization round trip preserves algorithm behavior exactly.
@@ -130,11 +129,11 @@ TEST_P(FuzzInvariants, AllAlgorithmsAllInvariants) {
 INSTANTIATE_TEST_SUITE_P(RandomShapes, FuzzInvariants, testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
-// Engine-vs-reference equivalence suite: the engine-backed solvers (which the
-// setcover wrappers now run on) must match the retained naive eager
-// references *exactly* — identical chosen sequences and bitwise-identical
-// objective values — across hundreds of seeded instances. Any drift in gain
-// maintenance, heap staleness handling, or tie-breaking shows up here.
+// Engine-vs-reference equivalence suite: the engine-backed solvers must match
+// the retained naive eager references *exactly* — identical chosen sequences
+// and bitwise-identical objective values — across hundreds of seeded
+// instances. Any drift in gain maintenance, heap staleness handling, or
+// tie-breaking shows up here.
 
 /// A random weighted grouped set system; half synthetic (arbitrary costs and
 /// overlaps), half projected from a random scenario (the shape the paper's
@@ -184,9 +183,11 @@ TEST_P(EngineEquivalence, MatchesNaiveReferenceExactly) {
       if (rng.next_bool(0.7)) target.set(e);
     }
     const util::DynBitset* restrict_to = rng.next_bool(0.5) ? &target : nullptr;
+    const core::CoverageEngine eng = setcover::to_engine(sys);
+    core::SolveWorkspace ws;
 
     // Greedy (CostSC).
-    const auto g_eng = setcover::greedy_set_cover(sys, restrict_to);
+    const auto g_eng = core::greedy_cover(eng, ws, restrict_to);
     const auto g_ref = setcover::greedy_set_cover_reference(sys, restrict_to);
     ASSERT_EQ(g_eng.chosen, g_ref.chosen);
     EXPECT_EQ(g_eng.total_cost, g_ref.total_cost);
@@ -196,7 +197,7 @@ TEST_P(EngineEquivalence, MatchesNaiveReferenceExactly) {
     // MCG with random per-group budgets.
     std::vector<double> budgets(static_cast<size_t>(sys.n_groups()));
     for (auto& b : budgets) b = rng.uniform(0.05, 2.5);
-    const auto m_eng = setcover::mcg_greedy(sys, budgets, restrict_to);
+    const auto m_eng = core::mcg_cover(eng, ws, budgets, restrict_to);
     const auto m_ref = setcover::mcg_greedy_reference(sys, budgets, restrict_to);
     ASSERT_EQ(m_eng.h, m_ref.h);
     EXPECT_EQ(m_eng.violator, m_ref.violator);
@@ -207,9 +208,9 @@ TEST_P(EngineEquivalence, MatchesNaiveReferenceExactly) {
     EXPECT_EQ(m_eng.covered_h, m_ref.covered_h);
 
     // SCG (full budget search: grid + bisection over repeated MCG passes).
-    setcover::ScgParams sp;
+    core::ScgParams sp;
     sp.carry_budgets = rng.next_bool(0.7);
-    const auto s_eng = setcover::scg_solve(sys, sp);
+    const auto s_eng = core::scg_cover(eng, ws, sp);
     const auto s_ref = setcover::scg_solve_reference(sys, sp);
     ASSERT_EQ(s_eng.chosen, s_ref.chosen);
     EXPECT_EQ(s_eng.feasible, s_ref.feasible);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_fixtures.hpp"
-#include "wmcast/setcover/mcg.hpp"
+#include "wmcast/core/solve.hpp"
 #include "wmcast/setcover/reduction.hpp"
 
 namespace wmcast::setcover {
@@ -14,16 +14,18 @@ TEST(McgAugment, RecoversCoverageAfterTheSplit) {
   // still afford (a2,s1,5) and cover u3.
   const auto sc = test::fig1_scenario(3.0);
   const SetSystem sys = build_set_system(sc);
-  const auto mcg = mcg_greedy_uniform(sys, 1.0);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  std::vector<double> budgets(2, 1.0);
+  const auto mcg = core::mcg_cover(eng, ws, budgets);
   ASSERT_EQ(mcg.covered.count(), 3);
 
-  std::vector<double> budgets(2, 1.0);
   std::vector<double> group_cost(2, 0.0);
   for (const int j : mcg.chosen) {
     group_cost[static_cast<size_t>(sys.set(j).group)] += sys.set(j).cost;
   }
   util::DynBitset covered = mcg.covered;
-  const auto added = mcg_augment(sys, budgets, group_cost, covered);
+  const auto added = core::mcg_augment(eng, ws, budgets, group_cost, covered);
   ASSERT_EQ(added.size(), 1u);
   EXPECT_EQ(sys.set(added[0]).ap, 1);
   EXPECT_EQ(sys.set(added[0]).session, 0);
@@ -39,7 +41,9 @@ TEST(McgAugment, NoBudgetNoAdditions) {
   std::vector<double> budgets(2, 1.0);
   std::vector<double> group_cost = {1.0, 1.0};  // both groups exhausted
   util::DynBitset covered(sys.n_elements());
-  const auto added = mcg_augment(sys, budgets, group_cost, covered);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto added = core::mcg_augment(eng, ws, budgets, group_cost, covered);
   EXPECT_TRUE(added.empty());
   EXPECT_EQ(covered.count(), 0);
 }
@@ -52,7 +56,9 @@ TEST(McgAugment, FromScratchActsLikeBudgetedGreedy) {
   std::vector<double> budgets(2, 1.0);
   std::vector<double> group_cost(2, 0.0);
   util::DynBitset covered(sys.n_elements());
-  const auto added = mcg_augment(sys, budgets, group_cost, covered);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto added = core::mcg_augment(eng, ws, budgets, group_cost, covered);
   EXPECT_GE(covered.count(), 3);
   EXPECT_LE(group_cost[0], 1.0 + 1e-9);
   EXPECT_LE(group_cost[1], 1.0 + 1e-9);
@@ -67,7 +73,9 @@ TEST(McgAugment, RestrictToLimitsTargets) {
   util::DynBitset covered(sys.n_elements());
   util::DynBitset only_u3(5);
   only_u3.set(2);
-  const auto added = mcg_augment(sys, budgets, group_cost, covered, &only_u3);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto added = core::mcg_augment(eng, ws, budgets, group_cost, covered, &only_u3);
   // Covers u3 via the cheapest covering set: (a2,s1,5) cost 0.6.
   ASSERT_EQ(added.size(), 1u);
   EXPECT_TRUE(covered.test(2));
@@ -79,10 +87,14 @@ TEST(McgAugment, RejectsMismatchedVectors) {
   std::vector<double> budgets(1, 1.0);  // wrong size
   std::vector<double> group_cost(2, 0.0);
   util::DynBitset covered(sys.n_elements());
-  EXPECT_THROW(mcg_augment(sys, budgets, group_cost, covered), std::invalid_argument);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  EXPECT_THROW(core::mcg_augment(eng, ws, budgets, group_cost, covered),
+               std::invalid_argument);
   budgets.assign(2, 1.0);
   group_cost.assign(1, 0.0);  // wrong size
-  EXPECT_THROW(mcg_augment(sys, budgets, group_cost, covered), std::invalid_argument);
+  EXPECT_THROW(core::mcg_augment(eng, ws, budgets, group_cost, covered),
+               std::invalid_argument);
 }
 
 }  // namespace

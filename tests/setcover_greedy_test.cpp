@@ -1,4 +1,4 @@
-#include "wmcast/setcover/greedy.hpp"
+#include "wmcast/core/solve.hpp"
 
 #include <gtest/gtest.h>
 
@@ -30,7 +30,9 @@ TEST(GreedySetCover, PapersMlaWalkthrough) {
   // 2/(1/3)=6, for a total cost of 7/12 — the optimal solution.
   const auto sc = test::fig1_scenario(1.0);
   const SetSystem sys = build_set_system(sc);
-  const GreedyCoverResult res = greedy_set_cover(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const core::CoverResult res = core::greedy_cover(eng, ws);
   ASSERT_TRUE(res.complete);
   ASSERT_EQ(res.chosen.size(), 2u);
   EXPECT_EQ(sys.set(res.chosen[0]).ap, 0);
@@ -49,7 +51,9 @@ TEST(GreedySetCover, CoversEverythingCoverable) {
                                    {{0, 1}, 1.0, 0},
                                    {{2}, 1.0, 0},
                                });
-  const auto res = greedy_set_cover(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto res = core::greedy_cover(eng, ws);
   // Element 3 is uncoverable; the greedy covers the rest and reports complete
   // (complete == covered every *coverable* element).
   EXPECT_TRUE(res.complete);
@@ -64,7 +68,9 @@ TEST(GreedySetCover, PrefersCostEffectiveSets) {
                                    {{0, 1}, 1.0, 0},
                                    {{2, 3}, 1.0, 0},
                                });
-  const auto res = greedy_set_cover(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto res = core::greedy_cover(eng, ws);
   EXPECT_TRUE(res.complete);
   EXPECT_NEAR(res.total_cost, 2.0, 1e-12);
   EXPECT_EQ(res.chosen.size(), 2u);
@@ -80,7 +86,9 @@ TEST(GreedySetCover, ClassicLogFactorTrap) {
                                    {{3, 4}, 0.34, 0},
                                    {{5}, 0.17, 0},
                                });
-  const auto res = greedy_set_cover(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto res = core::greedy_cover(eng, ws);
   EXPECT_TRUE(res.complete);
   const double opt = 1.0 + 1e-9;
   EXPECT_LE(res.total_cost, (std::log(6.0) + 1.0) * opt);
@@ -95,7 +103,9 @@ TEST(GreedySetCover, RestrictToLimitsTheTarget) {
   util::DynBitset only01(4);
   only01.set(0);
   only01.set(1);
-  const auto res = greedy_set_cover(sys, &only01);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto res = core::greedy_cover(eng, ws, &only01);
   EXPECT_TRUE(res.complete);
   EXPECT_EQ(res.chosen.size(), 1u);
   EXPECT_NEAR(res.total_cost, 1.0, 1e-12);
@@ -104,7 +114,9 @@ TEST(GreedySetCover, RestrictToLimitsTheTarget) {
 TEST(GreedySetCover, EmptyTargetChoosesNothing) {
   const auto sys = make_system(2, 1, {{{0, 1}, 1.0, 0}});
   util::DynBitset empty(2);
-  const auto res = greedy_set_cover(sys, &empty);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto res = core::greedy_cover(eng, ws, &empty);
   EXPECT_TRUE(res.complete);
   EXPECT_TRUE(res.chosen.empty());
   EXPECT_DOUBLE_EQ(res.total_cost, 0.0);
@@ -148,7 +160,9 @@ TEST(GreedySetCover, LazyEvaluationMatchesEagerGreedy) {
       remaining.andnot_assign(sys.set(best).members);
     }
 
-    const auto lazy = greedy_set_cover(sys);
+    const core::CoverageEngine eng = to_engine(sys);
+    core::SolveWorkspace ws;
+    const auto lazy = core::greedy_cover(eng, ws);
     EXPECT_NEAR(lazy.total_cost, eager_cost, 1e-9) << "trial " << trial;
   }
 }

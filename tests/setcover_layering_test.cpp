@@ -1,10 +1,9 @@
-#include "wmcast/setcover/layering.hpp"
+#include "wmcast/core/solve.hpp"
 
 #include <gtest/gtest.h>
 
 #include "test_fixtures.hpp"
 #include "wmcast/exact/exact_mla.hpp"
-#include "wmcast/setcover/greedy.hpp"
 #include "wmcast/setcover/reduction.hpp"
 #include "wmcast/util/rng.hpp"
 #include "wmcast/wlan/scenario_generator.hpp"
@@ -15,12 +14,14 @@ namespace {
 TEST(Layering, CoversTheFig1Instance) {
   const auto sc = test::fig1_scenario(1.0);
   const SetSystem sys = build_set_system(sc);
-  const auto res = layered_set_cover(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto res = core::layered_cover(eng, ws);
   EXPECT_TRUE(res.complete);
   EXPECT_EQ(res.covered.count(), 5);
   EXPECT_GT(res.layers, 0);
   // Never worse than f times the optimum (7/12 on this instance).
-  const int f = max_element_frequency(sys);
+  const int f = core::max_element_frequency(eng);
   EXPECT_LE(res.total_cost, f * (7.0 / 12.0) + 1e-9);
 }
 
@@ -29,7 +30,7 @@ TEST(Layering, MaxElementFrequencyFig1) {
   // (a1,s2,4), (a2,s2,5), (a2,s2,3): frequency 3.
   const auto sc = test::fig1_scenario(1.0);
   const SetSystem sys = build_set_system(sc);
-  EXPECT_EQ(max_element_frequency(sys), 3);
+  EXPECT_EQ(core::max_element_frequency(to_engine(sys)), 3);
 }
 
 TEST(Layering, WithinFTimesOptimalOnRandomInstances) {
@@ -52,9 +53,11 @@ TEST(Layering, WithinFTimesOptimalOnRandomInstances) {
     if (opt.status != exact::BbStatus::kOptimal) continue;
     ++tested;
 
-    const auto layered = layered_set_cover(sys);
+    const core::CoverageEngine eng = to_engine(sys);
+    core::SolveWorkspace ws;
+    const auto layered = core::layered_cover(eng, ws);
     EXPECT_TRUE(layered.complete);
-    const int f = max_element_frequency(sys);
+    const int f = core::max_element_frequency(eng);
     EXPECT_LE(layered.total_cost, f * opt.cost + 1e-9) << "f=" << f;
     EXPECT_GE(layered.total_cost, opt.cost - 1e-9);
   }
@@ -68,7 +71,9 @@ TEST(Layering, SingleSetInstanceIsExact) {
   members.set(2);
   CandidateSet s{members, 2.5, 0, 0, 0, 1.0};
   const SetSystem sys(3, 1, {s});
-  const auto res = layered_set_cover(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto res = core::layered_cover(eng, ws);
   EXPECT_TRUE(res.complete);
   ASSERT_EQ(res.chosen.size(), 1u);
   EXPECT_NEAR(res.total_cost, 2.5, 1e-12);
@@ -89,10 +94,12 @@ TEST(Layering, TightFrequencyTwoExample) {
                       {CandidateSet{a, 1.0, 0, 0, 0, 1.0},
                        CandidateSet{b, 1.0, 0, 0, 0, 1.0},
                        CandidateSet{c, 1.1, 0, 0, 0, 1.0}});
-  const auto res = layered_set_cover(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto res = core::layered_cover(eng, ws);
   EXPECT_TRUE(res.complete);
   EXPECT_NEAR(res.total_cost, 1.1, 1e-9);
-  EXPECT_EQ(max_element_frequency(sys), 2);
+  EXPECT_EQ(core::max_element_frequency(eng), 2);
 }
 
 TEST(Layering, ComparableToGreedyOnWlanInstances) {
@@ -104,8 +111,10 @@ TEST(Layering, ComparableToGreedyOnWlanInstances) {
   p.n_users = 80;
   const auto sc = wlan::generate_scenario(p, rng);
   const SetSystem sys = build_set_system(sc);
-  const auto layered = layered_set_cover(sys);
-  const auto greedy = greedy_set_cover(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto layered = core::layered_cover(eng, ws);
+  const auto greedy = core::greedy_cover(eng, ws);
   EXPECT_TRUE(layered.complete);
   EXPECT_TRUE(greedy.complete);
   EXPECT_LT(layered.total_cost, 5.0 * greedy.total_cost);

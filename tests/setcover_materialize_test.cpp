@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_fixtures.hpp"
-#include "wmcast/setcover/greedy.hpp"
-#include "wmcast/setcover/mcg.hpp"
+#include "wmcast/core/solve.hpp"
 #include "wmcast/setcover/reduction.hpp"
 #include "wmcast/util/rng.hpp"
 #include "wmcast/wlan/scenario_generator.hpp"
@@ -15,7 +14,9 @@ namespace {
 TEST(Materialize, AssignsUsersToFirstCoveringSet) {
   const auto sc = test::fig1_scenario(1.0);
   const SetSystem sys = build_set_system(sc);
-  const auto greedy = greedy_set_cover(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const auto greedy = core::greedy_cover(eng, ws);
   const wlan::Association assoc = materialize(sc, sys, greedy.chosen);
   // The MLA walkthrough: everyone lands on a1.
   for (int u = 0; u < 5; ++u) EXPECT_EQ(assoc.ap_of(u), 0);
@@ -24,7 +25,10 @@ TEST(Materialize, AssignsUsersToFirstCoveringSet) {
 TEST(Materialize, UncoveredUsersStayUnassociated) {
   const auto sc = test::fig1_scenario(3.0);
   const SetSystem sys = build_set_system(sc);
-  const McgResult mcg = mcg_greedy_uniform(sys, 1.0);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const std::vector<double> budgets(2, 1.0);
+  const core::McgResult mcg = core::mcg_cover(eng, ws, budgets);
   const wlan::Association assoc = materialize(sc, sys, mcg.chosen);
   // The §4.1 outcome: u2, u4, u5 on a1; u1, u3 unserved.
   EXPECT_EQ(assoc.ap_of(0), wlan::kNoAp);
@@ -46,7 +50,9 @@ TEST(Materialize, LoadNeverExceedsSummedSetCosts) {
     util::Rng sub = rng.fork();
     const auto sc = wlan::generate_scenario(p, sub);
     const SetSystem sys = build_set_system(sc);
-    const auto greedy = greedy_set_cover(sys);
+    const core::CoverageEngine eng = to_engine(sys);
+    core::SolveWorkspace ws;
+    const auto greedy = core::greedy_cover(eng, ws);
     const auto assoc = materialize(sc, sys, greedy.chosen);
     const auto rep = wlan::compute_loads(sc, assoc);
 
@@ -66,7 +72,10 @@ TEST(Materialize, LoadNeverExceedsSummedSetCosts) {
 TEST(Materialize, SatisfiedUsersEqualsCoveredCount) {
   const auto sc = test::fig1_scenario(3.0);
   const SetSystem sys = build_set_system(sc);
-  const McgResult mcg = mcg_greedy_uniform(sys, 1.0);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const std::vector<double> budgets(2, 1.0);
+  const core::McgResult mcg = core::mcg_cover(eng, ws, budgets);
   const auto assoc = materialize(sc, sys, mcg.chosen);
   const auto rep = wlan::compute_loads(sc, assoc);
   EXPECT_EQ(rep.satisfied_users, mcg.covered.count());

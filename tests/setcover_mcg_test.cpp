@@ -1,4 +1,4 @@
-#include "wmcast/setcover/mcg.hpp"
+#include "wmcast/core/solve.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,10 @@ TEST(McgGreedy, PapersMnuWalkthrough) {
   // H2 = {S2} covers 2, so the output is H1: u2, u4, u5 on a1.
   const auto sc = test::fig1_scenario(3.0);
   const SetSystem sys = build_set_system(sc);
-  const McgResult res = mcg_greedy_uniform(sys, 1.0);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const std::vector<double> budgets(2, 1.0);
+  const core::McgResult res = core::mcg_cover(eng, ws, budgets);
 
   ASSERT_EQ(res.h.size(), 2u);
   EXPECT_EQ(sys.set(res.h[0]).ap, 0);
@@ -41,7 +44,10 @@ TEST(McgGreedy, RespectsBudgetsAfterSplit) {
     const auto sc = test::fig1_scenario(0.5 + rng.next_double() * 3.0);
     const SetSystem sys = build_set_system(sc);
     const double budget = 0.3 + rng.next_double() * 0.7;
-    const McgResult res = mcg_greedy_uniform(sys, budget);
+    const core::CoverageEngine eng = to_engine(sys);
+    core::SolveWorkspace ws;
+    const std::vector<double> budgets(2, budget);
+    const core::McgResult res = core::mcg_cover(eng, ws, budgets);
     std::vector<double> group_cost(static_cast<size_t>(sys.n_groups()), 0.0);
     for (const int j : res.chosen) {
       group_cost[static_cast<size_t>(sys.set(j).group)] += sys.set(j).cost;
@@ -70,7 +76,10 @@ TEST(McgGreedy, ChoosesBetterHalf) {
     sets = {a, b};
   }
   const SetSystem sys(5, 1, std::move(sets));
-  const McgResult res = mcg_greedy_uniform(sys, 1.0);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const std::vector<double> budgets(1, 1.0);
+  const core::McgResult res = core::mcg_cover(eng, ws, budgets);
   // B (ratio 4) first, fits exactly; A then violates (1.9 > 1). H1 = {B}
   // covers 4 > H2 = {A} covers 1.
   EXPECT_EQ(res.covered.count(), 4);
@@ -94,7 +103,10 @@ TEST(McgGreedy, SkipsSetsLargerThanTheirGroupBudget) {
   small.group = small.ap = 0;
   sets = {big, small};
   const SetSystem sys(3, 1, std::move(sets));
-  const McgResult res = mcg_greedy_uniform(sys, 1.0);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const std::vector<double> budgets(1, 1.0);
+  const core::McgResult res = core::mcg_cover(eng, ws, budgets);
   ASSERT_EQ(res.chosen.size(), 1u);
   EXPECT_DOUBLE_EQ(sys.set(res.chosen[0]).cost, 0.5);
   EXPECT_EQ(res.covered.count(), 1);
@@ -105,7 +117,10 @@ TEST(McgGreedy, RestrictToNarrowsTargets) {
   const SetSystem sys = build_set_system(sc);
   util::DynBitset only_u1(5);
   only_u1.set(0);
-  const McgResult res = mcg_greedy_uniform(sys, 1.0, &only_u1);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const std::vector<double> budgets(2, 1.0);
+  const core::McgResult res = core::mcg_cover(eng, ws, budgets, &only_u1);
   // Only (a1, s1, rate 3) covers u1; it fits the budget of 1 exactly.
   ASSERT_EQ(res.chosen.size(), 1u);
   EXPECT_DOUBLE_EQ(sys.set(res.chosen[0]).tx_rate, 3.0);
@@ -115,14 +130,19 @@ TEST(McgGreedy, RestrictToNarrowsTargets) {
 TEST(McgGreedy, BudgetCountMismatchThrows) {
   const auto sc = test::fig1_scenario(1.0);
   const SetSystem sys = build_set_system(sc);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
   const std::vector<double> wrong(1, 1.0);
-  EXPECT_THROW(mcg_greedy(sys, wrong), std::invalid_argument);
+  EXPECT_THROW(core::mcg_cover(eng, ws, wrong), std::invalid_argument);
 }
 
 TEST(McgGreedy, ZeroBudgetSelectsNothing) {
   const auto sc = test::fig1_scenario(1.0);
   const SetSystem sys = build_set_system(sc);
-  const McgResult res = mcg_greedy_uniform(sys, 1e-15);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const std::vector<double> budgets(2, 1e-15);
+  const core::McgResult res = core::mcg_cover(eng, ws, budgets);
   EXPECT_TRUE(res.chosen.empty());
   EXPECT_EQ(res.covered.count(), 0);
 }

@@ -1,4 +1,4 @@
-#include "wmcast/setcover/scg.hpp"
+#include "wmcast/core/solve.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,9 @@ TEST(ScgSolve, PapersBlaWalkthroughOutcome) {
   // 1/4 + 1/3 = 7/12. (The true optimum is 1/2; the greedy cannot see it.)
   const auto sc = test::fig1_scenario(1.0);
   const SetSystem sys = build_set_system(sc);
-  const ScgResult res = scg_solve(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const core::ScgResult res = core::scg_cover(eng, ws);
   ASSERT_TRUE(res.feasible);
   EXPECT_EQ(res.covered.count(), 5);
   EXPECT_NEAR(res.max_group_cost, 7.0 / 12.0, 1e-9);
@@ -34,7 +36,9 @@ TEST(ScgSolve, CoversEverythingOnRandomScenarios) {
     util::Rng sub = rng.fork();
     const auto sc = wlan::generate_scenario(p, sub);
     const SetSystem sys = build_set_system(sc);
-    const ScgResult res = scg_solve(sys);
+    const core::CoverageEngine eng = to_engine(sys);
+    core::SolveWorkspace ws;
+    const core::ScgResult res = core::scg_cover(eng, ws);
     EXPECT_TRUE(res.feasible);
     EXPECT_EQ(res.covered.count(), sc.n_coverable_users());
     // The reported per-group costs match the chosen sets.
@@ -60,7 +64,9 @@ TEST(ScgSolve, TheoremFourPassBound) {
   p.n_users = 80;
   const auto sc = wlan::generate_scenario(p, rng);
   const SetSystem sys = build_set_system(sc);
-  const ScgResult res = scg_solve(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const core::ScgResult res = core::scg_cover(eng, ws);
   ASSERT_TRUE(res.feasible);
   const int bound =
       static_cast<int>(std::ceil(std::log(80.0) / std::log(8.0 / 7.0))) + 8;
@@ -73,22 +79,26 @@ TEST(ScgSolve, SingleApInstance) {
   const std::vector<std::vector<double>> link = {{2, 4}};
   const auto sc = wlan::Scenario::from_link_rates(link, {0, 0}, {1.0}, 1.0);
   const SetSystem sys = build_set_system(sc);
-  const ScgResult res = scg_solve(sys);
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const core::ScgResult res = core::scg_cover(eng, ws);
   ASSERT_TRUE(res.feasible);
   // One transmission of the session at rate 2 covers both users: cost 1/2.
   EXPECT_NEAR(res.max_group_cost, 0.5, 1e-9);
 }
 
 TEST(ScgSolve, BetterBudgetGuessesNeverHurtTheMax) {
-  // scg_solve returns the best over its B* candidates, so the result can only
+  // scg_cover returns the best over its B* candidates, so the result can only
   // be at most the single-shot greedy at B* = 1.
   const auto sc = test::fig1_scenario(2.0);
   const SetSystem sys = build_set_system(sc);
-  const ScgResult best = scg_solve(sys);
-  ScgParams one_shot;
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  const core::ScgResult best = core::scg_cover(eng, ws);
+  core::ScgParams one_shot;
   one_shot.grid_points = 2;  // just the bounds
   one_shot.refine_steps = 0;
-  const ScgResult coarse = scg_solve(sys, one_shot);
+  const core::ScgResult coarse = core::scg_cover(eng, ws, one_shot);
   if (best.feasible && coarse.feasible) {
     EXPECT_LE(best.max_group_cost, coarse.max_group_cost + 1e-9);
   }
@@ -97,12 +107,14 @@ TEST(ScgSolve, BetterBudgetGuessesNeverHurtTheMax) {
 TEST(ScgSolve, RejectsBadParams) {
   const auto sc = test::fig1_scenario(1.0);
   const SetSystem sys = build_set_system(sc);
-  ScgParams p;
+  const core::CoverageEngine eng = to_engine(sys);
+  core::SolveWorkspace ws;
+  core::ScgParams p;
   p.budget_cap = 0.0;
-  EXPECT_THROW(scg_solve(sys, p), std::invalid_argument);
-  p = ScgParams{};
+  EXPECT_THROW(core::scg_cover(eng, ws, p), std::invalid_argument);
+  p = core::ScgParams{};
   p.grid_points = 1;
-  EXPECT_THROW(scg_solve(sys, p), std::invalid_argument);
+  EXPECT_THROW(core::scg_cover(eng, ws, p), std::invalid_argument);
 }
 
 }  // namespace
