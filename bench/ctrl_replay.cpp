@@ -224,19 +224,20 @@ int main(int argc, char** argv) {
               "threshold): %s\n", signal_ok ? "MET" : "NOT MET",
               quality_ok ? "MET" : "NOT MET");
 
-  // Engine rebuild-vs-repair accounting: how much of the set system the
-  // incremental path actually re-projected across the whole trace.
-  const auto& es = controller.engine().stats();
+  // Engine accounting from telemetry: full solves build their engine from
+  // the epoch's scenario, so the incremental counters stay 0.
+  const ctrl::Telemetry& ct = controller.telemetry();
+  const int n_aps = controller.scenario().n_aps();
   std::printf("  engine: %llu full build(s), %llu incremental updates touching "
               "%llu/%d AP candidate-set rebuilds (%llu sets rebuilt, %llu retired, "
               "%llu compactions)\n",
-              static_cast<unsigned long long>(es.full_builds),
-              static_cast<unsigned long long>(es.incremental_updates),
-              static_cast<unsigned long long>(es.groups_rebuilt),
-              controller.engine().n_groups() * trace.n_epochs(),
-              static_cast<unsigned long long>(es.sets_rebuilt),
-              static_cast<unsigned long long>(es.sets_retired),
-              static_cast<unsigned long long>(es.compactions));
+              static_cast<unsigned long long>(ct.engine_full_builds.value()),
+              static_cast<unsigned long long>(ct.engine_incremental_updates.value()),
+              static_cast<unsigned long long>(ct.engine_groups_rebuilt.value()),
+              n_aps * trace.n_epochs(),
+              static_cast<unsigned long long>(ct.engine_sets_rebuilt.value()),
+              static_cast<unsigned long long>(ct.engine_sets_retired.value()),
+              static_cast<unsigned long long>(ct.engine_compactions.value()));
 
   // Telemetry dump + schema validation.
   const auto tele = controller.telemetry().to_json();
@@ -273,16 +274,18 @@ int main(int argc, char** argv) {
     j.set("quality_target_met", util::Json(quality_ok));
     j.set("telemetry_valid", util::Json(problem.empty()));
     auto eng = util::Json::object();
-    eng.set("full_builds", util::Json(static_cast<int64_t>(es.full_builds)));
-    eng.set("incremental_updates",
-            util::Json(static_cast<int64_t>(es.incremental_updates)));
-    eng.set("groups_rebuilt", util::Json(static_cast<int64_t>(es.groups_rebuilt)));
-    eng.set("sets_rebuilt", util::Json(static_cast<int64_t>(es.sets_rebuilt)));
-    eng.set("sets_retired", util::Json(static_cast<int64_t>(es.sets_retired)));
-    eng.set("compactions", util::Json(static_cast<int64_t>(es.compactions)));
+    const auto count = [](const ctrl::Counter& c) {
+      return util::Json(static_cast<int64_t>(c.value()));
+    };
+    eng.set("full_builds", count(ct.engine_full_builds));
+    eng.set("incremental_updates", count(ct.engine_incremental_updates));
+    eng.set("groups_rebuilt", count(ct.engine_groups_rebuilt));
+    eng.set("sets_rebuilt", count(ct.engine_sets_rebuilt));
+    eng.set("sets_retired", count(ct.engine_sets_retired));
+    eng.set("compactions", count(ct.engine_compactions));
     eng.set("group_rebuild_fraction",
-            util::Json(static_cast<double>(es.groups_rebuilt) /
-                       std::max(1, controller.engine().n_groups() * trace.n_epochs())));
+            util::Json(static_cast<double>(ct.engine_groups_rebuilt.value()) /
+                       std::max(1, n_aps * trace.n_epochs())));
     j.set("engine", std::move(eng));
     std::ofstream f(json_out);
     f << j.dump(2) << "\n";

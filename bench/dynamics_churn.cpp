@@ -17,8 +17,6 @@
 #include "bench_common.hpp"
 #include "wmcast/assoc/centralized.hpp"
 #include "wmcast/assoc/distributed.hpp"
-#include "wmcast/core/engine.hpp"
-#include "wmcast/ctrl/engine_source.hpp"
 #include "wmcast/ctrl/state.hpp"
 #include "wmcast/ctrl/trace.hpp"
 #include "wmcast/sim/handoff.hpp"
@@ -44,44 +42,6 @@ SlotDelta slot_delta(const std::vector<int>& from, const std::vector<int>& to) {
     if (a != wlan::kNoAp && b != wlan::kNoAp) ++d.handoffs;
   }
   return d;
-}
-
-/// Advances a slot-space coverage engine from `prev` to `cur` with the same
-/// dirty-group protocol the online controller uses: only APs whose candidate
-/// sets could differ (old sets via the inverted index, new in-range APs by
-/// position) are re-projected. The engine's lifetime stats quantify how much
-/// of the system each epoch actually rebuilds.
-void advance_engine(core::CoverageEngine& eng, const ctrl::NetworkState& prev,
-                    const ctrl::NetworkState& cur) {
-  std::vector<int> dirty;
-  std::vector<char> mark(static_cast<size_t>(cur.n_aps()), 0);
-  const auto add = [&](int a) {
-    if (mark[static_cast<size_t>(a)] == 0) {
-      mark[static_cast<size_t>(a)] = 1;
-      dirty.push_back(a);
-    }
-  };
-  bool rate_changed = false;
-  for (int t = 0; t < cur.n_sessions() && !rate_changed; ++t) {
-    rate_changed = cur.session_rate(t) != prev.session_rate(t);
-  }
-  if (rate_changed) {
-    for (int a = 0; a < cur.n_aps(); ++a) add(a);
-  } else {
-    for (int s = 0; s < cur.n_slots(); ++s) {
-      if (s < prev.n_slots() && prev.slot(s) == cur.slot(s)) continue;
-      if (s < eng.n_elements()) {
-        eng.for_each_set_of(s, [&](int j) { add(eng.ap(j)); });
-      }
-      if (cur.slot(s).wants_service()) {
-        for (int a = 0; a < cur.n_aps(); ++a) {
-          if (cur.link_rate(a, s) > 0.0) add(a);
-        }
-      }
-    }
-  }
-  if (dirty.empty() && cur.n_slots() <= eng.n_elements()) return;
-  eng.update_groups(ctrl::StateSource(cur), dirty, true);
 }
 
 /// Pads slot-space snapshots to a common width so sim::account_disruptions
@@ -146,17 +106,10 @@ int main(int argc, char** argv) {
   std::vector<std::vector<int>> warm_snaps{warm_slot};
   std::vector<std::vector<int>> cold_snaps{cold_slot};
 
-  // Slot-space engine kept current across the trace via the dirty-group
-  // protocol; its stats report the rebuild-vs-repair split at the end.
-  core::CoverageEngine eng;
-  eng.build_full(ctrl::StateSource(state), true);
-
   util::Table t({"epoch", "warm_total", "cold_total", "warm_reassoc", "cold_reassoc",
                  "warm_rounds"});
   for (int e = 0; e < trace.n_epochs(); ++e) {
-    const ctrl::NetworkState prev = state;
     for (const auto& ev : trace.epochs[static_cast<size_t>(e)]) state.apply(ev);
-    advance_engine(eng, prev, state);
     std::vector<int> row_slot;
     const auto sc = state.to_scenario(&row_slot);
 
@@ -221,16 +174,6 @@ int main(int argc, char** argv) {
   std::printf("  re-associations per epoch: warm %.1f vs cold %.1f (%.1fx less "
               "signaling)\n", warm_signal.mean(), cold_signal.mean(), ratio);
   std::printf("  warm convergence: %.1f rounds per epoch\n", warm_rounds.mean());
-  const auto& es = eng.stats();
-  std::printf("  engine: %llu incremental updates rebuilt %llu AP candidate sets "
-              "(of %d per-epoch full rebuilds the cold path implies); %llu sets "
-              "rebuilt, %llu retired, %llu compactions\n",
-              static_cast<unsigned long long>(es.incremental_updates),
-              static_cast<unsigned long long>(es.groups_rebuilt),
-              state.n_aps() * trace.n_epochs(),
-              static_cast<unsigned long long>(es.sets_rebuilt),
-              static_cast<unsigned long long>(es.sets_retired),
-              static_cast<unsigned long long>(es.compactions));
   std::printf("\nThe distributed resume stays within a few percent of the cold\n"
               "centralized optimum while re-associating far fewer users — the\n"
               "paper's case for distributed control in large WLANs, quantified.\n");
@@ -257,17 +200,6 @@ int main(int argc, char** argv) {
     j.set("warm_rounds_per_epoch", warm_rounds.mean());
     j.set("warm_disruption_s", warm_disruption.total_disruption_s);
     j.set("cold_disruption_s", cold_disruption.total_disruption_s);
-    util::Json ej = util::Json::object();
-    ej.set("full_builds", static_cast<int64_t>(es.full_builds));
-    ej.set("incremental_updates", static_cast<int64_t>(es.incremental_updates));
-    ej.set("groups_rebuilt", static_cast<int64_t>(es.groups_rebuilt));
-    ej.set("sets_rebuilt", static_cast<int64_t>(es.sets_rebuilt));
-    ej.set("sets_retired", static_cast<int64_t>(es.sets_retired));
-    ej.set("compactions", static_cast<int64_t>(es.compactions));
-    ej.set("group_rebuild_fraction",
-           static_cast<double>(es.groups_rebuilt) /
-               std::max(1, state.n_aps() * trace.n_epochs()));
-    j.set("engine", std::move(ej));
     std::ofstream f(json_out);
     f << j.dump(2) << "\n";
     std::printf("  json written to %s\n", json_out.c_str());

@@ -34,11 +34,6 @@ void EngineContext::build(const wlan::Scenario& sc, bool multi_rate) {
   engine.build_full(setcover::ScenarioSource(sc), multi_rate);
 }
 
-void EngineContext::update(const wlan::Scenario& sc, std::span<const int> dirty_aps,
-                           bool multi_rate) {
-  engine.update_groups(setcover::ScenarioSource(sc), dirty_aps, multi_rate);
-}
-
 Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& params,
                          EngineContext& ctx) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -46,7 +41,7 @@ Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& para
   if (params.pool != nullptr) {
     ctx.shards.build(ctx.engine);
     greedy = core::parallel_greedy_cover(ctx.engine, *params.pool, ctx.shard_ws,
-                                         ctx.shards);
+                                         ctx.shards, &ctx.parallel);
   } else {
     greedy = core::greedy_cover(ctx.engine, ctx.ws);
   }
@@ -64,7 +59,7 @@ Solution centralized_bla(const wlan::Scenario& sc, const CentralizedParams& para
   if (params.pool != nullptr) {
     ctx.shards.build(ctx.engine);
     scg = core::parallel_scg_cover(ctx.engine, *params.pool, ctx.shard_ws,
-                                   ctx.shards, scg_params);
+                                   ctx.shards, scg_params, &ctx.parallel);
   } else {
     scg = core::scg_cover(ctx.engine, ctx.ws, scg_params);
   }
@@ -85,7 +80,7 @@ Solution centralized_mnu(const wlan::Scenario& sc, const CentralizedParams& para
     ctx.shards.build(ctx.engine);
     const auto mcg =
         core::parallel_mcg_cover(ctx.engine, *params.pool, ctx.shard_ws, ctx.shards,
-                                 ctx.budgets, params.mnu_augment);
+                                 ctx.budgets, params.mnu_augment, &ctx.parallel);
     chosen = mcg.chosen;
   } else {
     const auto mcg = core::mcg_cover(ctx.engine, ctx.ws, ctx.budgets);

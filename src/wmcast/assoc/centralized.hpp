@@ -8,12 +8,12 @@
 //   centralized_mnu — MCG greedy + H1/H2 split,           8-approx.
 //
 // Every algorithm has a warm-path overload taking an EngineContext: the
-// engine is built once (or patched incrementally with update_groups) and the
-// solve reuses the context's workspace, so repeated solves on an evolving
-// network skip the reduction entirely and allocate nothing in steady state.
+// caller builds the engine (EngineContext::build) and the solve reuses the
+// context's workspaces. Repeated solves on one network skip the reduction;
+// a context rebuilt for each new network (the online controller's full
+// solves) reuses its arenas' capacity.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "wmcast/assoc/solution.hpp"
@@ -49,8 +49,7 @@ struct CentralizedParams {
 
 /// Warm solve state shared by repeated centralized solves: the built engine
 /// plus reusable scratch. The caller owns keeping the engine in sync with the
-/// scenario it passes to the solve (build() after wholesale changes,
-/// update(dirty_aps) after local ones).
+/// scenario it passes to the solve (build() whenever the scenario changed).
 struct EngineContext {
   core::CoverageEngine engine;
   core::SolveWorkspace ws;
@@ -58,12 +57,12 @@ struct EngineContext {
   std::vector<double> group_cost;  // per-group spend scratch (MNU augment)
   core::SessionShards shards;      // per-session partition (parallel path)
   core::ShardWorkspaces shard_ws;  // one workspace per pool lane
+  /// Output: shard accounting of the last sharded solve (params.pool set);
+  /// untouched by serial solves.
+  core::ParallelStats parallel;
 
   /// Full rebuild from the scenario.
   void build(const wlan::Scenario& sc, bool multi_rate = true);
-  /// Re-projects only the candidate sets of `dirty_aps` from `sc`.
-  void update(const wlan::Scenario& sc, std::span<const int> dirty_aps,
-              bool multi_rate = true);
 };
 
 Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& params = {});

@@ -57,7 +57,7 @@ int choose_best_ap_among(const wlan::Scenario& sc, int u,
 /// so one decision costs O(neighbors · rate levels) instead of
 /// O(neighbors · members). Returns the same AP as choose_best_ap over the
 /// matching member lists — the model's loads are bit-identical to the
-/// rescans, and the scoring arithmetic is mirrored operation for operation.
+/// rescans, and both overloads score through one shared path.
 int choose_best_ap(const wlan::Scenario& sc, const wlan::LoadModel& model, int u,
                    int current_ap, const PolicyParams& params);
 

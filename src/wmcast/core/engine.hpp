@@ -20,8 +20,7 @@
 // index as elements get covered.
 //
 // A `Source` is any type modelling the network behind the system (see
-// ScenarioSource in setcover/reduction.hpp and StateSource in
-// ctrl/engine_source.hpp):
+// ScenarioSource in setcover/reduction.hpp):
 //
 //   int    n_elements() const;
 //   int    n_groups() const;              // == number of APs
@@ -58,9 +57,6 @@
 
 namespace wmcast::core {
 
-/// Lifetime counters for the rebuild-vs-repair story: how much of the system
-/// incremental updates actually touched. Exposed through controller telemetry
-/// and the churn benches.
 /// Exact (mantissa, exponent) decomposition of a positive cost: cost =
 /// mant * 2^(exp-53) with mant an integer in [2^52, 2^53) (smaller for
 /// subnormals; still exact). The engine caches this per set so the solvers'
@@ -73,6 +69,9 @@ inline void decompose_cost(double cost, int64_t& mant, int32_t& exp) {
   exp = e;
 }
 
+/// Lifetime counters for the rebuild-vs-repair story: how much of the system
+/// incremental updates actually touched. The controller mirrors them into
+/// telemetry (counters.engine.*).
 struct EngineStats {
   uint64_t full_builds = 0;          // build_full calls
   uint64_t incremental_updates = 0;  // update_groups calls
@@ -155,8 +154,8 @@ class CoverageEngine {
   int add_set(int group, int ap_session, double tx_rate, double cost,
               std::span<const int32_t> members);
 
-  /// Grows the element universe (new elements start uncoverable). Used when
-  /// the controller's slot space extends on joins.
+  /// Grows the element universe (new elements start uncoverable). Used by
+  /// update_groups when the source's universe grew.
   void grow_universe(int n_elements);
 
   /// Full projection of a Source (same construction as the paper's reduction,

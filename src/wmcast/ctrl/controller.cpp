@@ -8,7 +8,6 @@
 
 #include "wmcast/assoc/local_search.hpp"
 #include "wmcast/assoc/registry.hpp"
-#include "wmcast/ctrl/engine_source.hpp"
 #include "wmcast/util/assert.hpp"
 #include "wmcast/util/fp.hpp"
 
@@ -35,9 +34,8 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
                 "AssociationController: negative degradation threshold");
   util::require(cfg_.k >= 1, "AssociationController: k must be >= 1");
   compact_sc_ = state_.to_scenario(&row_slot_);
-  engine_.build_full(StateSource(state_), cfg_.multi_rate);
+  const auto sol = solve_full(compact_sc_);
   sync_engine_stats(nullptr);
-  const auto sol = solve_full(compact_sc_, row_slot_);
   slot_ap_ = slot_association(sol.assoc, row_slot_, state_.n_slots());
   loads_ = sol.loads;
   baseline_load_ = sol.loads.total_load;
@@ -526,147 +524,44 @@ void AssociationController::refresh_multi(EpochReport* rep) {
   }
 }
 
-assoc::Solution AssociationController::solve_full(const wlan::Scenario& sc,
-                                                  const std::vector<int>& row_slot) {
+assoc::Solution AssociationController::solve_full(const wlan::Scenario& sc) {
   if (sc.n_users() == 0) {
     return assoc::make_solution(cfg_.full_solver, sc, wlan::Association::none(0),
                                 cfg_.multi_rate);
   }
-  // Fast path: the default solver (MLA-C = greedy set cover) runs directly on
-  // the maintained slot-space engine instead of re-projecting the scenario
-  // into a fresh set system. The engine enumerates sets in the same (AP,
-  // session, descending rate) order the reduction does and rows are slots in
-  // ascending order, so the greedy picks — and hence the association — are
-  // identical to the registry path.
-  if (cfg_.full_solver == "mla-c" && cfg_.multi_rate) {
-    const auto t0 = std::chrono::steady_clock::now();
-    core::CoverResult greedy;
-    if (pool_.size() > 1) {
-      // Sharded per-session solve across the pool. The chosen *set* — and
-      // hence the first-chosen-wins association below — matches the joint
-      // greedy exactly (sets of one session never cover another session's
-      // slots), so this path commits the same association as threads = 1.
-      shards_.build(engine_);
-      core::ParallelStats pstats;
-      greedy = core::parallel_greedy_cover(engine_, pool_, shard_ws_, shards_,
-                                           &pstats);
-      tele_.engine_parallel_solves.inc();
-      tele_.engine_parallel_tasks.inc(static_cast<uint64_t>(pstats.tasks));
-      tele_.engine_parallel_workers.set(pstats.workers);
-      tele_.engine_parallel_imbalance.set(pstats.imbalance);
-      tele_.engine_parallel_arena_peak_bytes.set(
-          static_cast<double>(pstats.arena_high_water_bytes));
-      tele_.engine_parallel_arena_reserved_bytes.set(
-          static_cast<double>(pstats.arena_reserved_bytes));
-    } else {
-      greedy = core::greedy_cover(engine_, solve_ws_);
-    }
-    slot_row_.assign(static_cast<size_t>(engine_.n_elements()), -1);
-    for (int r = 0; r < sc.n_users(); ++r) {
-      slot_row_[static_cast<size_t>(row_slot[static_cast<size_t>(r)])] = r;
-    }
-    auto assoc = wlan::Association::none(sc.n_users());
-    for (const int j : greedy.chosen) {
-      const int a = engine_.ap(j);
-      for (const int32_t slot : engine_.members(j)) {
-        const int r = slot_row_[static_cast<size_t>(slot)];
-        if (r >= 0 && assoc.user_ap[static_cast<size_t>(r)] == wlan::kNoAp) {
-          assoc.user_ap[static_cast<size_t>(r)] = a;
-        }
-      }
-    }
-    auto sol = assoc::make_solution("MLA-C", sc, std::move(assoc), cfg_.multi_rate);
-    sol.solve_seconds = seconds_since(t0);
-    return sol;
+  if (cfg_.full_solver != "mla-c") {
+    assoc::SolveOptions opt;
+    opt.multi_rate = cfg_.multi_rate;
+    return assoc::solve_by_name(cfg_.full_solver, sc, rng_, opt);
   }
-  assoc::SolveOptions opt;
-  opt.multi_rate = cfg_.multi_rate;
-  return assoc::solve_by_name(cfg_.full_solver, sc, rng_, opt);
-}
-
-void AssociationController::mark_engine_dirty(const NetworkState& next) {
-  if (group_mark_.size() < static_cast<size_t>(next.n_aps())) {
-    group_mark_.resize(static_cast<size_t>(next.n_aps()), 0);
+  // MLA-C on the epoch's scenario, through a context kept across epochs only
+  // for its buffers. With a pool, the sharded per-session greedy commits the
+  // same association as the joint one (DESIGN.md §9).
+  ctx_.build(sc, cfg_.multi_rate);
+  assoc::CentralizedParams cp;
+  cp.multi_rate = cfg_.multi_rate;
+  cp.pool = pool_.size() > 1 ? &pool_ : nullptr;
+  auto sol = assoc::centralized_mla(sc, cp, ctx_);
+  if (cp.pool != nullptr) {
+    const core::ParallelStats& ps = ctx_.parallel;
+    tele_.engine_parallel_solves.inc();
+    tele_.engine_parallel_tasks.inc(static_cast<uint64_t>(ps.tasks));
+    tele_.engine_parallel_workers.set(ps.workers);
+    tele_.engine_parallel_imbalance.set(ps.imbalance);
+    tele_.engine_parallel_arena_peak_bytes.set(
+        static_cast<double>(ps.arena_high_water_bytes));
+    tele_.engine_parallel_arena_reserved_bytes.set(
+        static_cast<double>(ps.arena_reserved_bytes));
   }
-  const auto mark = [&](int a) {
-    if (!group_mark_[static_cast<size_t>(a)]) {
-      group_mark_[static_cast<size_t>(a)] = 1;
-      dirty_groups_.push_back(a);
-    }
-  };
-
-  bool rate_changed = false;
-  for (int t = 0; t < next.n_sessions() && !rate_changed; ++t) {
-    rate_changed = next.session_rate(t) != state_.session_rate(t);
-  }
-  if (rate_changed) {
-    // A stream-rate change reprices every set of that session; rebuild all.
-    for (int a = 0; a < next.n_aps(); ++a) mark(a);
-  } else {
-    std::vector<int> near;  // reused per slot
-    for (int s = 0; s < next.n_slots(); ++s) {
-      if (s < state_.n_slots() && state_.slot(s) == next.slot(s)) continue;
-      // APs that held this slot before: exactly the groups of the sets the
-      // inverted index lists for it. Across deferred epochs the index still
-      // reflects the last flush, so re-marking yields the same "from" APs.
-      if (s < engine_.n_elements()) {
-        engine_.for_each_set_of(s, [&](int j) { mark(engine_.ap(j)); });
-      }
-      // APs that gain it now: anything in range of the new position, found
-      // through the AP grid in O(k). Sorted before marking so the marks land
-      // in the same ascending order the pre-grid full scan produced —
-      // dirty_groups_ order feeds set-id assignment, which is deterministic.
-      if (next.slot(s).wants_service()) {
-        near.clear();
-        next.for_each_ap_near(next.slot(s).pos, [&](int a) {
-          if (next.link_rate(a, s) > 0.0) near.push_back(a);
-        });
-        std::sort(near.begin(), near.end());
-        for (const int a : near) mark(a);
-      }
-    }
-  }
-  if (!dirty_groups_.empty() || next.n_slots() > engine_.n_elements()) {
-    engine_flush_pending_ = true;
-  }
-}
-
-void AssociationController::flush_engine(const NetworkState& st) {
-  if (!engine_flush_pending_) return;
-  // Rescan dirty groups in (grid cell, ap) order: neighboring APs share most
-  // of their member slots, so walking their CSR rows back-to-back hits the
-  // per-slot data while it is still cache-hot. The key is a pure function of
-  // the AP layout, so set-id assignment — and hence solver tie-breaks — stays
-  // deterministic for a given accumulated mark set. States built from
-  // explicit link rates carry no AP geometry; they keep insertion order.
-  const auto& grid = st.ap_grid();
-  const auto& pos = st.ap_positions();
-  const bool have_geometry =
-      !dirty_groups_.empty() &&
-      pos.size() > static_cast<size_t>(*std::max_element(dirty_groups_.begin(),
-                                                         dirty_groups_.end()));
-  if (have_geometry) {
-    std::sort(dirty_groups_.begin(), dirty_groups_.end(), [&](int a, int b) {
-      const int64_t ka = grid.cell_key(pos[static_cast<size_t>(a)]);
-      const int64_t kb = grid.cell_key(pos[static_cast<size_t>(b)]);
-      if (ka != kb) return ka < kb;
-      return a < b;
-    });
-  }
-  engine_.update_groups(StateSource(st), dirty_groups_, cfg_.multi_rate);
-  for (const int a : dirty_groups_) group_mark_[static_cast<size_t>(a)] = 0;
-  dirty_groups_.clear();
-  engine_flush_pending_ = false;
+  return sol;
 }
 
 void AssociationController::sync_engine_stats(EpochReport* rep) {
-  const core::EngineStats& now = engine_.stats();
+  const core::EngineStats& now = ctx_.engine.stats();
   const core::EngineStats& old = engine_stats_synced_;
   if (rep != nullptr) {
     rep->engine_groups_rebuilt = static_cast<int>(now.groups_rebuilt - old.groups_rebuilt);
     rep->engine_sets_rebuilt = static_cast<int>(now.sets_rebuilt - old.sets_rebuilt);
-    rep->engine_sets_retired = static_cast<int>(now.sets_retired - old.sets_retired);
-    rep->engine_compacted = now.compactions > old.compactions;
   }
   tele_.engine_full_builds.inc(now.full_builds - old.full_builds);
   tele_.engine_incremental_updates.inc(now.incremental_updates - old.incremental_updates);
@@ -844,9 +739,6 @@ EpochReport AssociationController::drain() {
   }
 
   // --- 3. dirty region + compact projection. -------------------------------
-  // Mark the APs the batch touched; their candidate sets are re-projected
-  // only when a full solve needs the engine (most serve epochs never do).
-  mark_engine_dirty(next);
   const auto dirty_slots = compute_dirty_slots(state_, next, slot_ap_);
   rep.dirty_users = static_cast<int>(dirty_slots.size());
   tele_.dirty_region_size.record(static_cast<double>(dirty_slots.size()));
@@ -901,8 +793,7 @@ EpochReport AssociationController::drain() {
   std::optional<assoc::Solution> full;
   if (cfg_.full_refresh_epochs > 0 && epochs_since_refresh_ >= cfg_.full_refresh_epochs &&
       sc.n_users() > 0) {
-    flush_engine(next);
-    full = solve_full(sc, row_slot);
+    full = solve_full(sc);
     baseline_load_ = full->loads.total_load;
     epochs_since_refresh_ = 0;
     tele_.baseline_refreshes.inc();
@@ -914,8 +805,7 @@ EpochReport AssociationController::drain() {
       cand_loads.total_load > baseline_load_ * (1.0 + cfg_.degradation_threshold);
   if (sc.n_users() > 0 && (no_baseline || degraded) && !rep.rolled_back) {
     if (!full) {
-      flush_engine(next);
-      full = solve_full(sc, row_slot);
+      full = solve_full(sc);
       baseline_load_ = full->loads.total_load;
       epochs_since_refresh_ = 0;
     }

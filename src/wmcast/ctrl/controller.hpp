@@ -19,9 +19,15 @@
 //                   §1's churn argument against naive centralized control);
 //   6. degradation fallback — when repaired load drifts past the configured
 //                   threshold over a periodically refreshed full-solve
-//                   baseline, fall back to a full centralized re-solve
-//                   (MNU-C/BLA-C/MLA-C via assoc/registry), itself subject to
-//                   the signaling cap.
+//                   baseline, fall back to a full centralized re-solve,
+//                   itself subject to the signaling cap.
+//
+// A full solve (baseline refresh or fallback) runs on the epoch's compact
+// scenario and nothing else: MLA-C is assoc::centralized_mla on an engine
+// context rebuilt right before the solve, the other solvers go through
+// assoc/registry. The baseline is therefore a pure function of the current
+// network — the answer `wmcast_cli solve --algorithm=mla-c` gives for that
+// scenario — and never depends on the epochs that led to it.
 //
 // Telemetry (ctrl/telemetry.hpp) records every step; dump via
 // telemetry().to_json().
@@ -31,16 +37,14 @@
 #include <string>
 #include <vector>
 
+#include "wmcast/assoc/centralized.hpp"
 #include "wmcast/assoc/kconn.hpp"
 #include "wmcast/assoc/solution.hpp"
-#include "wmcast/core/engine.hpp"
-#include "wmcast/core/solve.hpp"
 #include "wmcast/core/workspace.hpp"
 #include "wmcast/ctrl/events.hpp"
 #include "wmcast/ctrl/repair_shard.hpp"
 #include "wmcast/ctrl/state.hpp"
 #include "wmcast/ctrl/telemetry.hpp"
-#include "wmcast/core/parallel.hpp"
 #include "wmcast/util/rng.hpp"
 #include "wmcast/util/thread_pool.hpp"
 #include "wmcast/wlan/association.hpp"
@@ -135,15 +139,13 @@ struct EpochReport {
   // association.
   int repair_shards = 0;
   double repair_imbalance = 0.0;
-  // Coverage-engine maintenance this epoch (rebuild-vs-repair accounting):
-  // how many APs' candidate sets were re-projected, and the set churn that
-  // caused. A quiescent epoch reports all zeros. Rebuilds are deferred until
-  // a full solve needs the engine, so they land on the epoch that flushed
-  // them.
+  // Incremental coverage-engine maintenance this epoch (APs whose candidate
+  // sets were re-projected, and the sets that re-appended). Full solves build
+  // their engine from the epoch's scenario (telemetry's
+  // counters.engine.full_builds) and never patch it, so these read 0;
+  // perfbench/ reports them.
   int engine_groups_rebuilt = 0;
   int engine_sets_rebuilt = 0;
-  int engine_sets_retired = 0;
-  bool engine_compacted = false;
   // k-connectivity overlay after this epoch (zeros when cfg.k == 1).
   int multi_served_users = 0;
   double mean_effective_rate = 0.0;
@@ -200,12 +202,6 @@ class AssociationController {
   Telemetry& telemetry() { return tele_; }
   const Telemetry& telemetry() const { return tele_; }
 
-  /// The slot-space coverage engine. Exposed for benches and tests; treat as
-  /// read-only. It reflects the state as of the last full solve: each drain
-  /// only marks the groups it touched, and the marks flush right before the
-  /// next full solve.
-  const core::CoverageEngine& engine() const { return engine_; }
-
  private:
   struct ChangeCount {
     int total = 0;      // any slot AP change, including joins and drops
@@ -215,22 +211,14 @@ class AssociationController {
   };
 
   bool admit(const JoinRequest& req) const;
-  assoc::Solution solve_full(const wlan::Scenario& sc, const std::vector<int>& row_slot);
+  assoc::Solution solve_full(const wlan::Scenario& sc);
   wlan::Association repair(const wlan::Scenario& sc, const wlan::Association& carried,
                            const std::vector<int>& movable_rows, bool polish);
   ChangeCount count_changes(const std::vector<int>& old_slot_ap,
                             const std::vector<int>& new_slot_ap,
                             const NetworkState& next) const;
-  /// Marks every AP whose candidate sets could differ between state_ and
-  /// `next` (old sets via the inverted index — still valid across deferred
-  /// epochs, since the engine reflects the last flush — new in-range APs by
-  /// position). Marks accumulate in dirty_groups_ until flush_engine runs.
-  void mark_engine_dirty(const NetworkState& next);
-  /// Rebuilds the marked groups against `st` and clears the marks. No-op when
-  /// nothing is pending.
-  void flush_engine(const NetworkState& st);
-  /// Folds engine stat deltas since the last sync into telemetry (and the
-  /// epoch report, when given).
+  /// Folds the full-solve engine's stat deltas since the last sync into
+  /// telemetry (and the epoch report, when given).
   void sync_engine_stats(EpochReport* rep);
   /// Re-derives the k-connectivity overlay from the committed association
   /// (no-op at k == 1; kconn-quiescent epochs reuse the cached overlay).
@@ -265,21 +253,14 @@ class AssociationController {
   Telemetry tele_;
   util::Rng rng_;
 
-  // Slot-space engine + reusable solve/repair scratch (steady-state epochs
-  // allocate nothing beyond what the scenario projection needs).
-  core::CoverageEngine engine_;
+  // Full-solve engine (rebuilt from the epoch's scenario before each MLA-C
+  // solve, reusing its arenas' capacity) + reusable repair scratch.
+  assoc::EngineContext ctx_;
   core::EngineStats engine_stats_synced_;
-  core::SolveWorkspace solve_ws_;
   util::ThreadPool pool_;            // sized from cfg_.threads (1 = inline)
-  core::SessionShards shards_;       // rebuilt before each sharded full solve
-  core::ShardWorkspaces shard_ws_;   // one solve workspace per pool lane
   core::AssocWorkspace repair_ws_;
   std::vector<RepairLaneWorkspace> repair_lanes_;  // per-pool-lane repair scratch
   RepairShardStats last_repair_stats_;
-  std::vector<int> dirty_groups_;
-  std::vector<char> group_mark_;
-  bool engine_flush_pending_ = false;
-  std::vector<int> slot_row_;
 
   // k-connectivity overlay state (cfg_.k >= 2 only). The persistent engine
   // (DESIGN.md §16) keys its cross-epoch stores by what is stable across

@@ -63,8 +63,10 @@ struct Telemetry {
   Counter handoffs;               // AP -> different-AP moves (Reassociation frames)
   Counter forced_reassociations;  // subset forced by invalidated associations
 
-  // Coverage-engine maintenance (rebuild-vs-repair accounting, mirrored from
-  // core::EngineStats by the controller; additive keys under the v1 schema).
+  // Coverage-engine maintenance (mirrored from the full-solve engine's
+  // core::EngineStats; additive keys under the v1 schema). Every MLA-C full
+  // solve builds its engine from the epoch's scenario, so full_builds counts
+  // those builds and the incremental counters below it read 0.
   Counter engine_full_builds;          // whole-system projections
   Counter engine_incremental_updates;  // dirty-group update passes
   Counter engine_groups_rebuilt;       // AP candidate-set rebuilds

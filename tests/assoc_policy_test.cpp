@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "test_fixtures.hpp"
+#include "wmcast/util/rng.hpp"
+#include "wmcast/wlan/scenario_generator.hpp"
 
 namespace wmcast::assoc {
 namespace {
@@ -128,6 +130,64 @@ TEST(Policy, LoadVectorStrictImprovementOnly) {
   p.objective = Objective::kLoadVector;
   EXPECT_EQ(choose_best_ap(sc, 0, members, 0, p), 0);
   EXPECT_EQ(choose_best_ap(sc, 1, members, 1, p), 1);
+}
+
+TEST(Policy, LoadModelOverloadMatchesRescan) {
+  // The LoadModel overload must pick exactly the AP the member-list rescan
+  // picks, for every user of a random association: both objectives, budget
+  // on and off, single- and multi-rate, budgets tight enough to bind.
+  int decisions = 0;
+  int moves = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    wlan::GeneratorParams gp;
+    gp.n_aps = 6 + static_cast<int>(seed % 4) * 2;
+    gp.n_users = 40;
+    gp.n_sessions = 3;
+    gp.area_side_m = 400.0;
+    util::Rng rng(seed);
+    const auto sc =
+        wlan::generate_scenario(gp, rng).with_budget(seed % 2 == 0 ? 0.3 : 0.9);
+
+    // Random association: every user on a random heard AP, or on none.
+    std::vector<int> user_ap(static_cast<size_t>(sc.n_users()), wlan::kNoAp);
+    Members members(static_cast<size_t>(sc.n_aps()));
+    for (int u = 0; u < sc.n_users(); ++u) {
+      const auto heard = sc.aps_of_user(u);
+      const int pick = rng.next_int(static_cast<int>(heard.size()) + 1);
+      if (pick == static_cast<int>(heard.size())) continue;
+      user_ap[static_cast<size_t>(u)] = heard[static_cast<size_t>(pick)];
+      members[static_cast<size_t>(heard[static_cast<size_t>(pick)])].push_back(u);
+    }
+
+    for (const bool multi_rate : {true, false}) {
+      wlan::LoadModel model;
+      model.reset(sc, multi_rate);
+      for (int u = 0; u < sc.n_users(); ++u) {
+        const int a = user_ap[static_cast<size_t>(u)];
+        if (a != wlan::kNoAp) model.add(a, sc.user_session(u), sc.link_rate(a, u));
+      }
+      for (const auto objective : {Objective::kTotalLoad, Objective::kLoadVector}) {
+        for (const bool budget : {true, false}) {
+          PolicyParams p;
+          p.objective = objective;
+          p.enforce_budget = budget;
+          p.multi_rate = multi_rate;
+          for (int u = 0; u < sc.n_users(); ++u) {
+            const int cur = user_ap[static_cast<size_t>(u)];
+            const int rescan = choose_best_ap(sc, u, members, cur, p);
+            EXPECT_EQ(choose_best_ap(sc, model, u, cur, p), rescan)
+                << "seed " << seed << " user " << u << " multi_rate " << multi_rate
+                << " vector " << (objective == Objective::kLoadVector)
+                << " budget " << budget;
+            ++decisions;
+            if (rescan != cur) ++moves;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(decisions, 8 * 2 * 2 * 2 * 40);
+  EXPECT_GT(moves, 0) << "the instances must exercise moves, not just stays";
 }
 
 }  // namespace

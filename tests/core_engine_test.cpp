@@ -10,7 +10,6 @@
 
 #include "wmcast/core/engine.hpp"
 #include "wmcast/core/solve.hpp"
-#include "wmcast/ctrl/engine_source.hpp"
 #include "wmcast/ctrl/events.hpp"
 #include "wmcast/ctrl/state.hpp"
 #include "wmcast/setcover/reduction.hpp"
@@ -30,6 +29,33 @@ wlan::Scenario small_scenario(uint64_t seed, int n_aps = 8, int n_users = 30) {
   util::Rng rng(seed);
   return wlan::generate_scenario(p, rng);
 }
+
+/// A NetworkState seen by the engine in slot space: elements are slots (ids
+/// stable across churn, so the universe only grows), groups are APs, and slots
+/// not wanting service join no candidate set. NetworkState keeps no per-AP
+/// member list, so every slot is offered and the engine filters by
+/// link_rate > 0 — the superset contract of for_each_element_of_group.
+class StateSource {
+ public:
+  explicit StateSource(const ctrl::NetworkState& st) : st_(&st) {}
+
+  int n_elements() const { return st_->n_slots(); }
+  int n_groups() const { return st_->n_aps(); }
+  int n_sessions() const { return st_->n_sessions(); }
+  double session_rate(int s) const { return st_->session_rate(s); }
+  int element_session(int e) const { return st_->slot(e).session; }
+  bool element_active(int e) const { return st_->slot(e).wants_service(); }
+  double link_rate(int g, int e) const { return st_->link_rate(g, e); }
+  double basic_rate() const { return st_->rate_table().basic_rate(); }
+
+  template <typename Fn>
+  void for_each_element_of_group(int /*g*/, Fn&& fn) const {
+    for (int s = 0; s < st_->n_slots(); ++s) fn(s);
+  }
+
+ private:
+  const ctrl::NetworkState* st_;
+};
 
 /// Canonical order-free snapshot of the live sets: ids and member order are
 /// representation details, the multiset of (group, session, tx_rate, cost,
@@ -107,7 +133,7 @@ TEST(CoverageEngine, UpdateGroupsEqualsFreshRebuild) {
   util::Rng rng(5);
 
   core::CoverageEngine incremental;
-  incremental.build_full(ctrl::StateSource(state), true);
+  incremental.build_full(StateSource(state), true);
 
   for (int round = 0; round < 6; ++round) {
     const ctrl::NetworkState before = state;
@@ -139,10 +165,10 @@ TEST(CoverageEngine, UpdateGroupsEqualsFreshRebuild) {
         }
       }
     }
-    incremental.update_groups(ctrl::StateSource(state), dirty, true);
+    incremental.update_groups(StateSource(state), dirty, true);
 
     core::CoverageEngine fresh;
-    fresh.build_full(ctrl::StateSource(state), true);
+    fresh.build_full(StateSource(state), true);
     ASSERT_EQ(canonical(incremental), canonical(fresh)) << "round " << round;
     ASSERT_EQ(incremental.coverable(), fresh.coverable()) << "round " << round;
     EXPECT_EQ(incremental.max_set_cost(), fresh.max_set_cost());
@@ -157,7 +183,7 @@ TEST(CoverageEngine, UpdateGrowsUniverseOnJoins) {
   const auto sc = small_scenario(41);
   auto state = ctrl::NetworkState::from_scenario(sc);
   core::CoverageEngine eng;
-  eng.build_full(ctrl::StateSource(state), true);
+  eng.build_full(StateSource(state), true);
   const int old_n = eng.n_elements();
 
   // New user joins in the middle of the area: slot space extends.
@@ -168,12 +194,12 @@ TEST(CoverageEngine, UpdateGrowsUniverseOnJoins) {
     if (state.link_rate(a, slot) > 0.0) dirty.push_back(a);
   }
   ASSERT_FALSE(dirty.empty());
-  eng.update_groups(ctrl::StateSource(state), dirty, true);
+  eng.update_groups(StateSource(state), dirty, true);
 
   EXPECT_EQ(eng.n_elements(), old_n + 1);
   EXPECT_TRUE(eng.coverable().test(slot));
   core::CoverageEngine fresh;
-  fresh.build_full(ctrl::StateSource(state), true);
+  fresh.build_full(StateSource(state), true);
   EXPECT_EQ(canonical(eng), canonical(fresh));
 
   // The overflow inverted index covers the new element too.
@@ -186,18 +212,18 @@ TEST(CoverageEngine, CompactionPreservesSemantics) {
   const auto sc = small_scenario(53, 6, 24);
   auto state = ctrl::NetworkState::from_scenario(sc);
   core::CoverageEngine eng;
-  eng.build_full(ctrl::StateSource(state), true);
+  eng.build_full(StateSource(state), true);
 
   // Rebuild every group many times: tombstones pile up until compaction.
   std::vector<int> all_groups;
   for (int a = 0; a < state.n_aps(); ++a) all_groups.push_back(a);
   for (int i = 0; i < 8; ++i) {
-    eng.update_groups(ctrl::StateSource(state), all_groups, true);
+    eng.update_groups(StateSource(state), all_groups, true);
   }
   EXPECT_GT(eng.stats().compactions, 0u);
 
   core::CoverageEngine fresh;
-  fresh.build_full(ctrl::StateSource(state), true);
+  fresh.build_full(StateSource(state), true);
   EXPECT_EQ(canonical(eng), canonical(fresh));
 
   // Explicit compaction is idempotent on a clean engine.

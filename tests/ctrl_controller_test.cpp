@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "wmcast/assoc/centralized.hpp"
 #include "wmcast/assoc/registry.hpp"
 #include "wmcast/ctrl/trace.hpp"
 #include "wmcast/wlan/scenario_generator.hpp"
@@ -216,6 +217,47 @@ TEST(Controller, ReplayStaysWithinDegradationThresholdOfColdSolve) {
         << "epoch " << rep.epoch << " drifted past the degradation threshold";
   }
   EXPECT_EQ(c.epochs(), tp.epochs);
+}
+
+// The MLA-C full solve is assoc::centralized_mla on the epoch's compact
+// scenario and nothing else: the initial association is the cold MLA-C one,
+// and every baseline equals a cold MLA-C on the committed scenario bit for
+// bit — whatever churn came before, at any thread count.
+TEST(Controller, FullSolveIsCentralizedMlaOnTheEpochScenario) {
+  wlan::GeneratorParams p;
+  p.n_aps = 60;
+  p.n_users = 300;
+  p.n_sessions = 4;
+  util::Rng rng(7);
+  const auto sc = wlan::generate_scenario(p, rng);
+  const auto cold_seed = assoc::centralized_mla(sc);
+
+  for (const int threads : {1, 4}) {
+    ControllerConfig cfg;
+    cfg.full_refresh_epochs = 1;  // a full solve every epoch
+    cfg.threads = threads;
+    AssociationController c(sc, cfg);
+    EXPECT_EQ(c.slot_ap(), cold_seed.assoc.user_ap) << "threads " << threads;
+
+    TraceParams tp;
+    tp.epochs = 30;
+    tp.move_fraction = 0.15;
+    tp.walk_sigma_m = 25.0;
+    tp.zap_fraction = 0.05;
+    tp.leave_fraction = 0.02;
+    tp.join_fraction = 0.02;
+    util::Rng trace_rng(8);
+    const auto trace = generate_churn_trace(c.state(), tp, trace_rng);
+    ASSERT_EQ(trace.n_epochs(), tp.epochs);
+
+    for (const auto& batch : trace.epochs) {
+      c.submit(batch);
+      const auto rep = c.drain();
+      const auto cold = assoc::centralized_mla(c.scenario());
+      EXPECT_EQ(c.baseline_load(), cold.loads.total_load)
+          << "threads " << threads << " epoch " << rep.epoch;
+    }
+  }
 }
 
 }  // namespace
