@@ -3,8 +3,8 @@
 // a large instance (400 APs / 20k users). The paper argues centralized
 // algorithms "are still feasible to execute" up to ~100 APs — these numbers
 // quantify that claim for our implementation, and the Warm* benches quantify
-// what the reusable engine buys for repeated solves (the online controller's
-// steady state).
+// what a prebuilt engine and a reused workspace buy for repeated solves on
+// one network.
 //
 // Run: ./micro_solvers [--benchmark_filter=...] [--json=out.json]
 //                      [--simd=auto|scalar|avx2]
@@ -181,8 +181,8 @@ void BM_LargeEngineBuild(benchmark::State& state) {
   const auto sc = large_scenario();
   core::CoverageEngine eng;
   for (auto _ : state) {
-    eng.build_full(setcover::ScenarioSource(sc), true);
-    benchmark::DoNotOptimize(eng.n_live_sets());
+    setcover::build_engine(sc, true, eng);
+    benchmark::DoNotOptimize(eng.n_set_slots());
   }
 }
 BENCHMARK(BM_LargeEngineBuild);
@@ -193,7 +193,7 @@ BENCHMARK(BM_LargeEngineBuild);
 void BM_LargeWarmGreedy(benchmark::State& state) {
   const auto sc = large_scenario();
   core::CoverageEngine eng;
-  eng.build_full(setcover::ScenarioSource(sc), true);
+  setcover::build_engine(sc, true, eng);
   core::SolveWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::greedy_cover(eng, ws).total_cost);
@@ -201,25 +201,10 @@ void BM_LargeWarmGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_LargeWarmGreedy);
 
-/// Warm epoch: rebuild the candidate sets of 4 dirty APs via the dirty-group
-/// protocol, then re-solve — the online controller's steady-state work.
-void BM_LargeWarmDirtySolve(benchmark::State& state) {
-  const auto sc = large_scenario();
-  core::CoverageEngine eng;
-  eng.build_full(setcover::ScenarioSource(sc), true);
-  core::SolveWorkspace ws;
-  const std::vector<int> dirty = {11, 97, 203, 389};
-  for (auto _ : state) {
-    eng.update_groups(setcover::ScenarioSource(sc), dirty, true);
-    benchmark::DoNotOptimize(core::greedy_cover(eng, ws).total_cost);
-  }
-}
-BENCHMARK(BM_LargeWarmDirtySolve);
-
 void BM_LargeWarmScg(benchmark::State& state) {
   const auto sc = large_scenario();
   core::CoverageEngine eng;
-  eng.build_full(setcover::ScenarioSource(sc), true);
+  setcover::build_engine(sc, true, eng);
   core::SolveWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::scg_cover(eng, ws).max_group_cost);
@@ -235,7 +220,7 @@ BENCHMARK(BM_LargeWarmScg);
 void BM_ParallelSolveSessions(benchmark::State& state) {
   const auto sc = large_scenario();
   core::CoverageEngine eng;
-  eng.build_full(setcover::ScenarioSource(sc), true);
+  setcover::build_engine(sc, true, eng);
   util::ThreadPool pool(static_cast<int>(state.range(0)));
   core::SessionShards shards;
   shards.build(eng);
@@ -310,34 +295,32 @@ void BM_KernelPopcountAndnot(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * kKernelWords * 16));
 }
 
-/// Pure CSR member-arena streaming: every live set's row, in set order — the
+/// Pure CSR member-arena streaming: every set's row, in set order — the
 /// memory-bandwidth floor under the gain rescan.
 void BM_KernelCsrWalk(benchmark::State& state) {
   const auto sc = large_scenario();
   core::CoverageEngine eng;
-  eng.build_full(setcover::ScenarioSource(sc), true);
+  setcover::build_engine(sc, true, eng);
   for (auto _ : state) {
     int64_t sum = 0;
     for (int j = 0; j < eng.n_set_slots(); ++j) {
-      if (!eng.alive(j)) continue;
       for (const int32_t e : eng.members(j)) sum += e;
     }
     benchmark::DoNotOptimize(sum);
   }
 }
 
-/// The eager gain recomputation: per live set, count members still uncovered
-/// (CSR row walk + bitset probes) — what the maintained-gain design avoids
-/// per pick but the dirty-group path still pays per rebuilt set.
+/// The eager gain recomputation: per set, count members still uncovered (CSR
+/// row walk + bitset probes) — what the maintained-gain design avoids per
+/// pick.
 void BM_KernelGainRescan(benchmark::State& state) {
   const auto sc = large_scenario();
   core::CoverageEngine eng;
-  eng.build_full(setcover::ScenarioSource(sc), true);
+  setcover::build_engine(sc, true, eng);
   const util::DynBitset& remaining = eng.coverable();
   for (auto _ : state) {
     int64_t total = 0;
     for (int j = 0; j < eng.n_set_slots(); ++j) {
-      if (!eng.alive(j)) continue;
       int gain = 0;
       for (const int32_t e : eng.members(j)) gain += remaining.test(e) ? 1 : 0;
       total += gain;
@@ -350,7 +333,7 @@ void BM_KernelGainRescan(benchmark::State& state) {
 void BM_KernelWarmGreedySolve(benchmark::State& state) {
   const auto sc = large_scenario();
   core::CoverageEngine eng;
-  eng.build_full(setcover::ScenarioSource(sc), true);
+  setcover::build_engine(sc, true, eng);
   core::SolveWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::greedy_cover(eng, ws).total_cost);

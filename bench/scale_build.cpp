@@ -14,7 +14,9 @@
 //
 //  --dense             also run the dense reference build (same instance) and
 //                      verify the two scenarios are identical
-//  --solve             run centralized MLA end-to-end on the built scenario
+//  --solve             add an engine_build arm (one setcover::build_engine of
+//                      the built scenario; its "bytes" are the engine's
+//                      memory_bytes()) and run centralized MLA end-to-end
 //  --k=K               with --solve and K >= 2, add an mla_solve_k2 arm: the
 //                      same MLA solve plus the k-connectivity augmentation
 //                      (DESIGN.md §15), so the overlay's incremental cost is
@@ -38,6 +40,8 @@
 
 #include "bench_common.hpp"
 #include "wmcast/assoc/centralized.hpp"
+#include "wmcast/core/engine.hpp"
+#include "wmcast/setcover/reduction.hpp"
 #include "wmcast/util/cli.hpp"
 #include "wmcast/util/json.hpp"
 #include "wmcast/util/rng.hpp"
@@ -113,6 +117,15 @@ int main(int argc, char** argv) {
 
   double solve_seconds = 0.0;
   if (run_solve) {
+    {
+      core::CoverageEngine eng;
+      t0 = now_seconds();
+      setcover::build_engine(sparse, true, eng);
+      arms.push_back({"engine_build", now_seconds() - t0, eng.memory_bytes(),
+                      peak_rss_bytes()});
+      std::printf("engine: %d sets, %.1f MB\n", eng.n_set_slots(),
+                  static_cast<double>(eng.memory_bytes()) / (1024.0 * 1024.0));
+    }
     t0 = now_seconds();
     const auto sol = assoc::centralized_mla(sparse);
     solve_seconds = now_seconds() - t0;

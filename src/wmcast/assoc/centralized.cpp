@@ -31,7 +31,7 @@ void apply_kconn(const wlan::Scenario& sc, const CentralizedParams& params,
 }  // namespace
 
 void EngineContext::build(const wlan::Scenario& sc, bool multi_rate) {
-  engine.build_full(setcover::ScenarioSource(sc), multi_rate);
+  setcover::build_engine(sc, multi_rate, engine);
 }
 
 Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& params,

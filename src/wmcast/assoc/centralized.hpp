@@ -61,7 +61,7 @@ struct EngineContext {
   /// untouched by serial solves.
   core::ParallelStats parallel;
 
-  /// Full rebuild from the scenario.
+  /// Builds `engine` from the scenario (setcover::build_engine).
   void build(const wlan::Scenario& sc, bool multi_rate = true);
 };
 

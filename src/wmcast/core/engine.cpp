@@ -1,6 +1,9 @@
 #include "wmcast/core/engine.hpp"
 
+#include <algorithm>
 #include <limits>
+
+#include "wmcast/util/assert.hpp"
 
 namespace wmcast::core {
 
@@ -9,7 +12,7 @@ void CoverageEngine::reset(int n_elements, int n_groups) {
   util::require(n_groups >= 0, "CoverageEngine: negative group count");
   n_elements_ = n_elements;
   n_groups_ = n_groups;
-  live_sets_ = 0;
+  indexed_ = false;
   mem_off_.clear();
   mem_len_.clear();
   cost_.clear();
@@ -18,24 +21,16 @@ void CoverageEngine::reset(int n_elements, int n_groups) {
   tx_rate_.clear();
   group_.clear();
   session_.clear();
-  alive_.clear();
   mem_.clear();
-  dead_members_ = 0;
-  inv_off_.assign(static_cast<size_t>(n_elements) + 1, 0);
+  inv_off_.clear();
   inv_sets_.clear();
-  inv_head_.assign(static_cast<size_t>(n_elements), -1);
-  inv_node_set_.clear();
-  inv_next_.clear();
-  group_sets_.assign(static_cast<size_t>(n_groups), {});
-  for (auto& g : group_sets_) g.clear();
   coverable_ = util::DynBitset(n_elements);
   cost_caches_dirty_ = true;
-  touched_stamp_.assign(static_cast<size_t>(n_elements), 0);
-  stamp_ = 0;
 }
 
 int CoverageEngine::add_set(int group, int session, double tx_rate, double cost,
                             std::span<const int32_t> members) {
+  util::require(!indexed_, "CoverageEngine: add_set after finish()");
   util::require(group >= 0 && group < n_groups_, "CoverageEngine: invalid group");
   util::require(cost > 0.0, "CoverageEngine: set costs must be positive");
   const int j = n_set_slots();
@@ -50,135 +45,41 @@ int CoverageEngine::add_set(int group, int session, double tx_rate, double cost,
   tx_rate_.push_back(tx_rate);
   group_.push_back(group);
   session_.push_back(session);
-  alive_.push_back(1);
   for (const int32_t e : members) {
     util::require(e >= 0 && e < n_elements_, "CoverageEngine: member out of range");
     mem_.push_back(e);
     coverable_.set(e);
-    if (!bulk_building_) {
-      // Newly created sets index through the overflow chain until compaction;
-      // full builds skip the chains and counting-sort the CSR once at the end.
-      inv_node_set_.push_back(static_cast<int32_t>(j));
-      inv_next_.push_back(inv_head_[static_cast<size_t>(e)]);
-      inv_head_[static_cast<size_t>(e)] =
-          static_cast<int32_t>(inv_node_set_.size()) - 1;
-    }
   }
-  group_sets_[static_cast<size_t>(group)].push_back(static_cast<int32_t>(j));
-  ++live_sets_;
   cost_caches_dirty_ = true;
   return j;
 }
 
-void CoverageEngine::grow_universe(int n_elements) {
-  util::require(n_elements >= n_elements_,
-                "CoverageEngine::grow_universe: cannot shrink");
-  n_elements_ = n_elements;
-  // Existing CSR offsets stay valid: elements beyond the snapshot have no
-  // slice (for_each_set_of bounds-checks) and index via overflow only.
-  inv_head_.resize(static_cast<size_t>(n_elements), -1);
-  coverable_.resize(n_elements);
-  touched_stamp_.resize(static_cast<size_t>(n_elements), 0);
-}
-
-void CoverageEngine::retire_set(int32_t j) {
-  WMCAST_ASSERT(alive_[static_cast<size_t>(j)], "retire_set: already dead");
-  alive_[static_cast<size_t>(j)] = 0;
-  --live_sets_;
-  ++stats_.sets_retired;
-  dead_members_ += mem_len_[static_cast<size_t>(j)];
-  cost_caches_dirty_ = true;
-  for (const int32_t e : members(j)) {
-    if (touched_stamp_[static_cast<size_t>(e)] != stamp_) {
-      touched_stamp_[static_cast<size_t>(e)] = stamp_;
-      touched_scratch_.push_back(e);
-    }
-  }
-}
-
-void CoverageEngine::refresh_coverable(std::span<const int32_t> elements) {
-  for (const int32_t e : elements) {
-    bool covered = false;
-    for_each_set_of(e, [&](int32_t) { covered = true; });
-    if (covered) {
-      coverable_.set(e);
-    } else {
-      coverable_.reset(e);
-    }
-  }
-}
-
-void CoverageEngine::maybe_compact() {
-  const auto dead_sets = static_cast<int64_t>(n_set_slots()) - live_sets_;
-  const bool sets_stale = dead_sets > live_sets_;
-  const bool arena_stale =
-      dead_members_ * 2 > static_cast<int64_t>(mem_.size()) && dead_members_ > 4096;
-  if (sets_stale || arena_stale) compact();
-}
-
-void CoverageEngine::compact() {
-  ++stats_.compactions;
-  const int old_slots = n_set_slots();
-  std::vector<int32_t> new_off, new_len, new_group, new_session;
-  std::vector<double> new_cost, new_tx;
-  std::vector<int64_t> new_mant;
-  std::vector<int32_t> new_exp;
-  std::vector<int32_t> new_mem;
-  new_mem.reserve(mem_.size() - static_cast<size_t>(dead_members_));
-  new_off.reserve(static_cast<size_t>(live_sets_));
-
-  std::vector<int32_t> remap(static_cast<size_t>(old_slots), -1);
-  for (int j = 0; j < old_slots; ++j) {
-    if (!alive_[static_cast<size_t>(j)]) continue;
-    remap[static_cast<size_t>(j)] = static_cast<int32_t>(new_off.size());
-    new_off.push_back(static_cast<int32_t>(new_mem.size()));
-    new_len.push_back(mem_len_[static_cast<size_t>(j)]);
-    new_cost.push_back(cost_[static_cast<size_t>(j)]);
-    new_mant.push_back(cost_mant_[static_cast<size_t>(j)]);
-    new_exp.push_back(cost_exp_[static_cast<size_t>(j)]);
-    new_tx.push_back(tx_rate_[static_cast<size_t>(j)]);
-    new_group.push_back(group_[static_cast<size_t>(j)]);
-    new_session.push_back(session_[static_cast<size_t>(j)]);
-    const auto m = members(j);
-    new_mem.insert(new_mem.end(), m.begin(), m.end());
-  }
-
-  mem_off_ = std::move(new_off);
-  mem_len_ = std::move(new_len);
-  cost_ = std::move(new_cost);
-  cost_mant_ = std::move(new_mant);
-  cost_exp_ = std::move(new_exp);
-  tx_rate_ = std::move(new_tx);
-  group_ = std::move(new_group);
-  session_ = std::move(new_session);
-  mem_ = std::move(new_mem);
-  alive_.assign(mem_off_.size(), 1);
-  dead_members_ = 0;
-
-  for (auto& sets : group_sets_) {
-    for (auto& j : sets) j = remap[static_cast<size_t>(j)];
-  }
-
-  rebuild_inverted_csr();
-}
-
-void CoverageEngine::rebuild_inverted_csr() {
-  // Counting sort mem_ into the inverted CSR; overflow chains drain.
+void CoverageEngine::finish() {
+  // Counting sort: inv_off_[e + 1] counts e's sets, the prefix sum turns the
+  // counts into slice starts, and the scatter below advances inv_off_[e]
+  // from e's start to its end (= the start of e + 1). Shifting the array one
+  // place right then restores the starts. Sets are scattered in id order, so
+  // every slice lists ascending ids.
   inv_off_.assign(static_cast<size_t>(n_elements_) + 1, 0);
   for (const int32_t e : mem_) ++inv_off_[static_cast<size_t>(e) + 1];
   for (size_t e = 1; e < inv_off_.size(); ++e) inv_off_[e] += inv_off_[e - 1];
-  inv_sets_.assign(mem_.size(), 0);
-  inv_cursor_scratch_.assign(inv_off_.begin(), inv_off_.end() - 1);
+  inv_sets_.resize(mem_.size());
   for (int j = 0; j < n_set_slots(); ++j) {
     for (const int32_t e : members(j)) {
-      inv_sets_[static_cast<size_t>(
-          inv_cursor_scratch_[static_cast<size_t>(e)]++)] =
-          static_cast<int32_t>(j);
+      inv_sets_[static_cast<size_t>(inv_off_[static_cast<size_t>(e)]++)] = j;
     }
   }
-  inv_head_.assign(static_cast<size_t>(n_elements_), -1);
-  inv_node_set_.clear();
-  inv_next_.clear();
+  std::copy_backward(inv_off_.begin(), inv_off_.end() - 1, inv_off_.end());
+  inv_off_[0] = 0;
+  indexed_ = true;
+}
+
+size_t CoverageEngine::memory_bytes() const {
+  const auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
+  return bytes(mem_off_) + bytes(mem_len_) + bytes(cost_) + bytes(cost_mant_) +
+         bytes(cost_exp_) + bytes(tx_rate_) + bytes(group_) + bytes(session_) +
+         bytes(mem_) + bytes(inv_off_) + bytes(inv_sets_) +
+         coverable_.word_count() * sizeof(uint64_t);
 }
 
 double CoverageEngine::max_set_cost() const {
@@ -187,7 +88,6 @@ double CoverageEngine::max_set_cost() const {
     std::vector<double> min_cost(static_cast<size_t>(n_elements_),
                                  std::numeric_limits<double>::infinity());
     for (int j = 0; j < n_set_slots(); ++j) {
-      if (!alive_[static_cast<size_t>(j)]) continue;
       const double c = cost_[static_cast<size_t>(j)];
       max_cost_ = std::max(max_cost_, c);
       for (const int32_t e : members(j)) {

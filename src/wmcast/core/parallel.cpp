@@ -27,7 +27,6 @@ void SessionShards::build_impl(const CoverageEngine& eng,
     sessions_[static_cast<size_t>(shard_of_session[s])].push_back(static_cast<int>(s));
   }
   for (int j = 0; j < eng.n_set_slots(); ++j) {
-    if (!eng.alive(j)) continue;
     auto& target = targets_[static_cast<size_t>(
         shard_of_session[static_cast<size_t>(eng.session(j))])];
     for (const int32_t e : eng.members(j)) target.set(e);
@@ -40,7 +39,7 @@ void SessionShards::build_impl(const CoverageEngine& eng,
 void SessionShards::build(const CoverageEngine& eng) {
   int max_session = -1;
   for (int j = 0; j < eng.n_set_slots(); ++j) {
-    if (eng.alive(j)) max_session = std::max(max_session, eng.session(j));
+    max_session = std::max(max_session, eng.session(j));
   }
   std::vector<int> identity(static_cast<size_t>(max_session + 1));
   for (size_t s = 0; s < identity.size(); ++s) identity[s] = static_cast<int>(s);
@@ -51,7 +50,7 @@ void SessionShards::build(const CoverageEngine& eng,
                           std::span<const int> session_component) {
   int max_session = -1;
   for (int j = 0; j < eng.n_set_slots(); ++j) {
-    if (eng.alive(j)) max_session = std::max(max_session, eng.session(j));
+    max_session = std::max(max_session, eng.session(j));
   }
   // Dense shard ids ordered by ascending component label; sessions past the
   // span get fresh labels above every provided one so they shard alone.

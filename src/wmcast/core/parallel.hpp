@@ -33,10 +33,10 @@
 namespace wmcast::core {
 
 /// Deterministic partition of the engine's coverable elements into
-/// independent shards. Rebuild whenever the engine's sets change.
+/// independent shards. Rebuild after every engine build.
 class SessionShards {
  public:
-  /// One shard per session id the engine's live sets mention (ascending).
+  /// One shard per session id the engine's sets mention (ascending).
   void build(const CoverageEngine& eng);
 
   /// One shard per distinct component label: sessions with equal

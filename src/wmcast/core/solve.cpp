@@ -66,15 +66,17 @@ inline HeapEntry entry_for(const CoverageEngine& eng, int32_t g, int32_t j) {
   return {g, j, eng.cost(j)};
 }
 
-/// ws.remaining = coverable ∩ restrict_to (or just coverable).
+/// ws.remaining = coverable ∩ restrict_to (or just coverable). Every solver
+/// starts here, so this is where an engine missing its finish() is caught.
 void init_remaining(const CoverageEngine& eng, SolveWorkspace& ws,
                     const util::DynBitset* restrict_to) {
+  util::require(eng.indexed(), "solver: engine not indexed (call finish())");
   ws.remaining = eng.coverable();
   if (restrict_to != nullptr) ws.remaining.and_assign(*restrict_to);
 }
 
-/// ws.gain[j] = |members(j) ∩ ws.remaining| for every live slot. When the
-/// target is the full coverable universe every member of a live set counts,
+/// ws.gain[j] = |members(j) ∩ ws.remaining| for every set. When the target
+/// is the full coverable universe every member of every set counts,
 /// so the gain is just the degree — O(slots). Otherwise scatter through the
 /// inverted index — O(Σ_{e ∈ remaining} freq(e)).
 void init_gains(const CoverageEngine& eng, SolveWorkspace& ws, bool full_target) {
@@ -82,7 +84,7 @@ void init_gains(const CoverageEngine& eng, SolveWorkspace& ws, bool full_target)
   if (full_target) {
     ws.gain.resize(slots);
     for (int j = 0; j < eng.n_set_slots(); ++j) {
-      ws.gain[static_cast<size_t>(j)] = eng.alive(j) ? eng.degree(j) : 0;
+      ws.gain[static_cast<size_t>(j)] = eng.degree(j);
     }
     return;
   }
@@ -489,7 +491,7 @@ LayeringResult layered_cover(const CoverageEngine& eng, SolveWorkspace& ws) {
   ws.residual.assign(slots, 0.0);
   ws.taken.assign(slots, 0);
   for (int j = 0; j < eng.n_set_slots(); ++j) {
-    if (eng.alive(j)) ws.residual[static_cast<size_t>(j)] = eng.cost(j);
+    ws.residual[static_cast<size_t>(j)] = eng.cost(j);
   }
 
   int left = ws.remaining.count();
@@ -537,6 +539,7 @@ LayeringResult layered_cover(const CoverageEngine& eng, SolveWorkspace& ws) {
 
 double min_feasible_budget_for(const CoverageEngine& eng,
                                const util::DynBitset& target) {
+  util::require(eng.indexed(), "min_feasible_budget_for: engine not indexed");
   double budget = 0.0;
   target.for_each([&](int e) {
     if (!eng.coverable().test(e)) return;
@@ -552,7 +555,6 @@ double min_feasible_budget_for(const CoverageEngine& eng,
 int max_element_frequency(const CoverageEngine& eng) {
   std::vector<int> freq(static_cast<size_t>(eng.n_elements()), 0);
   for (int j = 0; j < eng.n_set_slots(); ++j) {
-    if (!eng.alive(j)) continue;
     for (const int32_t e : eng.members(j)) ++freq[static_cast<size_t>(e)];
   }
   int f = 0;

@@ -203,11 +203,11 @@ ScgResult scg_cover(const CoverageEngine& eng, SolveWorkspace& ws,
 /// (§6.1).
 LayeringResult layered_cover(const CoverageEngine& eng, SolveWorkspace& ws);
 
-/// Max number of live sets any coverable element appears in (the layering
+/// Max number of sets any coverable element appears in (the layering
 /// algorithm's approximation factor f).
 int max_element_frequency(const CoverageEngine& eng);
 
-/// max over coverable e in `target` of the min cost of a live set containing
+/// max over coverable e in `target` of the min cost of a set containing
 /// e — the smallest per-group budget at which every target element has some
 /// affordable set (SCG's search floor, restricted to one shard).
 double min_feasible_budget_for(const CoverageEngine& eng,

@@ -35,7 +35,6 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
   util::require(cfg_.k >= 1, "AssociationController: k must be >= 1");
   compact_sc_ = state_.to_scenario(&row_slot_);
   const auto sol = solve_full(compact_sc_);
-  sync_engine_stats(nullptr);
   slot_ap_ = slot_association(sol.assoc, row_slot_, state_.n_slots());
   loads_ = sol.loads;
   baseline_load_ = sol.loads.total_load;
@@ -538,6 +537,7 @@ assoc::Solution AssociationController::solve_full(const wlan::Scenario& sc) {
   // for its buffers. With a pool, the sharded per-session greedy commits the
   // same association as the joint one (DESIGN.md §9).
   ctx_.build(sc, cfg_.multi_rate);
+  tele_.engine_full_builds.inc();
   assoc::CentralizedParams cp;
   cp.multi_rate = cfg_.multi_rate;
   cp.pool = pool_.size() > 1 ? &pool_ : nullptr;
@@ -554,22 +554,6 @@ assoc::Solution AssociationController::solve_full(const wlan::Scenario& sc) {
         static_cast<double>(ps.arena_reserved_bytes));
   }
   return sol;
-}
-
-void AssociationController::sync_engine_stats(EpochReport* rep) {
-  const core::EngineStats& now = ctx_.engine.stats();
-  const core::EngineStats& old = engine_stats_synced_;
-  if (rep != nullptr) {
-    rep->engine_groups_rebuilt = static_cast<int>(now.groups_rebuilt - old.groups_rebuilt);
-    rep->engine_sets_rebuilt = static_cast<int>(now.sets_rebuilt - old.sets_rebuilt);
-  }
-  tele_.engine_full_builds.inc(now.full_builds - old.full_builds);
-  tele_.engine_incremental_updates.inc(now.incremental_updates - old.incremental_updates);
-  tele_.engine_groups_rebuilt.inc(now.groups_rebuilt - old.groups_rebuilt);
-  tele_.engine_sets_rebuilt.inc(now.sets_rebuilt - old.sets_rebuilt);
-  tele_.engine_sets_retired.inc(now.sets_retired - old.sets_retired);
-  tele_.engine_compactions.inc(now.compactions - old.compactions);
-  engine_stats_synced_ = now;
 }
 
 bool AssociationController::admit(const JoinRequest& req) const {
@@ -900,7 +884,6 @@ EpochReport AssociationController::drain() {
   rep.max_load = loads_.max_load;
   rep.baseline_load = baseline_load_;
   refresh_multi(&rep);
-  sync_engine_stats(&rep);
   rep.drain_seconds = seconds_since(t0);
 
   tele_.users_present.set(present);

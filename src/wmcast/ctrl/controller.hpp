@@ -139,11 +139,9 @@ struct EpochReport {
   // association.
   int repair_shards = 0;
   double repair_imbalance = 0.0;
-  // Incremental coverage-engine maintenance this epoch (APs whose candidate
-  // sets were re-projected, and the sets that re-appended). Full solves build
-  // their engine from the epoch's scenario (telemetry's
-  // counters.engine.full_builds) and never patch it, so these read 0;
-  // perfbench/ reports them.
+  // Always 0: the coverage engine has no incremental path (every full solve
+  // builds its engine from the epoch's scenario, counted by telemetry's
+  // counters.engine.full_builds). Kept because perfbench/ reports them.
   int engine_groups_rebuilt = 0;
   int engine_sets_rebuilt = 0;
   // k-connectivity overlay after this epoch (zeros when cfg.k == 1).
@@ -217,9 +215,6 @@ class AssociationController {
   ChangeCount count_changes(const std::vector<int>& old_slot_ap,
                             const std::vector<int>& new_slot_ap,
                             const NetworkState& next) const;
-  /// Folds the full-solve engine's stat deltas since the last sync into
-  /// telemetry (and the epoch report, when given).
-  void sync_engine_stats(EpochReport* rep);
   /// Re-derives the k-connectivity overlay from the committed association
   /// (no-op at k == 1; kconn-quiescent epochs reuse the cached overlay).
   /// Called with null from the constructor, with the epoch report from
@@ -256,7 +251,6 @@ class AssociationController {
   // Full-solve engine (rebuilt from the epoch's scenario before each MLA-C
   // solve, reusing its arenas' capacity) + reusable repair scratch.
   assoc::EngineContext ctx_;
-  core::EngineStats engine_stats_synced_;
   util::ThreadPool pool_;            // sized from cfg_.threads (1 = inline)
   core::AssocWorkspace repair_ws_;
   std::vector<RepairLaneWorkspace> repair_lanes_;  // per-pool-lane repair scratch

@@ -63,16 +63,17 @@ struct Telemetry {
   Counter handoffs;               // AP -> different-AP moves (Reassociation frames)
   Counter forced_reassociations;  // subset forced by invalidated associations
 
-  // Coverage-engine maintenance (mirrored from the full-solve engine's
-  // core::EngineStats; additive keys under the v1 schema). Every MLA-C full
-  // solve builds its engine from the epoch's scenario, so full_builds counts
-  // those builds and the incremental counters below it read 0.
+  // Coverage-engine builds (additive keys under the v1 schema). Every MLA-C
+  // full solve builds its engine from the epoch's scenario; full_builds
+  // counts those builds. The engine has no incremental path, so the five
+  // counters below it always read 0; the v1 schema (and ctrl_replay's check
+  // of it) still requires their keys.
   Counter engine_full_builds;          // whole-system projections
-  Counter engine_incremental_updates;  // dirty-group update passes
-  Counter engine_groups_rebuilt;       // AP candidate-set rebuilds
-  Counter engine_sets_rebuilt;         // sets re-appended by those rebuilds
-  Counter engine_sets_retired;         // sets tombstoned by those rebuilds
-  Counter engine_compactions;          // arena reclamation passes
+  Counter engine_incremental_updates;  // always 0
+  Counter engine_groups_rebuilt;       // always 0
+  Counter engine_sets_rebuilt;         // always 0
+  Counter engine_sets_retired;         // always 0
+  Counter engine_compactions;          // always 0
 
   // Sharded parallel solve accounting (core/parallel.hpp; additive keys under
   // counters.engine.parallel). Zero unless the controller runs with threads > 1.

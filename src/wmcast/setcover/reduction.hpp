@@ -20,45 +20,11 @@ namespace wmcast::setcover {
 /// (802.11-standard broadcast), yielding one candidate set per (AP, session).
 SetSystem build_set_system(const wlan::Scenario& sc, bool multi_rate = true);
 
-/// Source adapter exposing a wlan::Scenario to the coverage engine: elements
-/// are users, groups are APs. Engines built through it hold exactly the sets
-/// of build_set_system, with ids in the same order, so the two build paths
-/// are interchangeable — and update_groups(src, dirty_aps) re-projects only
-/// the named APs when the scenario is replaced by a perturbed successor.
-class ScenarioSource {
- public:
-  explicit ScenarioSource(const wlan::Scenario& sc) : sc_(&sc) {}
-
-  int n_elements() const { return sc_->n_users(); }
-  int n_groups() const { return sc_->n_aps(); }
-  int n_sessions() const { return sc_->n_sessions(); }
-  double session_rate(int s) const { return sc_->session_rate(s); }
-  int element_session(int e) const { return sc_->user_session(e); }
-  bool element_active(int) const { return true; }
-  double link_rate(int g, int e) const { return sc_->link_rate(g, e); }
-  double basic_rate() const { return sc_->basic_rate(); }
-
-  template <typename Fn>
-  void for_each_element_of_group(int g, Fn&& fn) const {
-    for (const int u : sc_->users_of_ap(g)) fn(u);
-  }
-
-  /// Paired CSR row (same user order as for_each_element_of_group) — lets the
-  /// engine skip the per-user link_rate binary search.
-  template <typename Fn>
-  void for_each_link_of_group(int g, Fn&& fn) const {
-    const auto users = sc_->users_of_ap(g);
-    const double* rates = sc_->rates_of_ap(g);
-    for (size_t i = 0; i < users.size(); ++i) fn(users[i], rates[i]);
-  }
-
- private:
-  const wlan::Scenario* sc_;
-};
-
-/// Builds a CoverageEngine directly from the scenario — the cached,
-/// incrementally-updatable counterpart of build_set_system (no per-set
-/// bitsets are materialized).
-core::CoverageEngine build_engine(const wlan::Scenario& sc, bool multi_rate = true);
+/// Builds the same reduction straight into `eng` (reset, one add_set per
+/// candidate set, finish) without materializing per-set bitsets: the sets of
+/// build_set_system, with ids in the same order. A set lists its members by
+/// descending link rate, ascending user id within one rate (plain ascending
+/// ids when multi_rate is false). Reusing one engine keeps its capacity.
+void build_engine(const wlan::Scenario& sc, bool multi_rate, core::CoverageEngine& eng);
 
 }  // namespace wmcast::setcover

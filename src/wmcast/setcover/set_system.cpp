@@ -49,6 +49,7 @@ core::CoverageEngine to_engine(const SetSystem& sys) {
     s.members.for_each([&](int e) { members.push_back(e); });
     eng.add_set(s.group, s.session, s.tx_rate, s.cost, members);
   }
+  eng.finish();
   return eng;
 }
 

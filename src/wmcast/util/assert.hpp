@@ -24,6 +24,13 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw std::invalid_argument("wmcast: " + msg);
 }
 
+/// Literal-message form: the message string is built only on failure, so a
+/// check inside a hot loop (one per member in CoverageEngine::add_set) costs
+/// a branch, not an allocation.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw std::invalid_argument(std::string("wmcast: ") + msg);
+}
+
 }  // namespace wmcast::util
 
 #define WMCAST_ASSERT(cond, msg)                                         \

@@ -32,6 +32,7 @@ core::CoverageEngine tie_engine() {
   eng.add_set(0, 0, 1.0, kC1, m1);
   eng.add_set(0, 0, 1.0, kC2, m2);
   eng.add_set(0, 0, 1.0, kC3, m3);
+  eng.finish();
   return eng;
 }
 
@@ -113,6 +114,7 @@ TEST(BudgetTie, MinFeasibleBudgetIsItselfFeasible) {
   eng.reset(1, 1);
   const std::vector<int32_t> m{0};
   eng.add_set(0, 0, 1.0, kC3, m);
+  eng.finish();
   util::DynBitset target(1);
   target.set(0);
   EXPECT_DOUBLE_EQ(core::min_feasible_budget_for(eng, target), kC3);

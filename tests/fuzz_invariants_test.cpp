@@ -53,7 +53,9 @@ void check_solution(const wlan::Scenario& sc, const assoc::Solution& sol,
   EXPECT_NEAR(rep.total_load, sol.loads.total_load, 1e-9);
   EXPECT_EQ(rep.satisfied_users, sol.loads.satisfied_users);
   // 3. Budget feasibility when the algorithm promises it.
-  if (must_respect_budget) EXPECT_TRUE(rep.within_budget());
+  if (must_respect_budget) {
+    EXPECT_TRUE(rep.within_budget());
+  }
   // 4. Served count never exceeds the coverable population.
   EXPECT_LE(rep.satisfied_users, sc.n_coverable_users());
   // 5. Loads are non-negative and max <= total.

@@ -111,7 +111,7 @@ class ShardedSolvers : public ::testing::Test {
  protected:
   void SetUp() override {
     sc_ = test_scenario(7);
-    eng_.build_full(setcover::ScenarioSource(sc_), true);
+    setcover::build_engine(sc_, true, eng_);
     shards_.build(eng_);
   }
 
