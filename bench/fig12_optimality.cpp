@@ -12,6 +12,8 @@
 // Run: ./fig12_optimality [--scenarios=40] [--seed=12] [--rate=1.0]
 //                         [--budget_c=0.042] [--time_limit=5.0] [--csv=prefix]
 
+#include <atomic>
+
 #include "bench_common.hpp"
 #include "wmcast/assoc/centralized.hpp"
 #include "wmcast/assoc/distributed.hpp"
@@ -25,7 +27,9 @@ using namespace wmcast;
 
 namespace {
 
-int g_truncated = 0;  // exact runs that hit a limit (reported at the end)
+// Exact runs that hit a limit (reported at the end). The exact_* helpers run
+// on bench::sweep_point's pool workers, so the count is atomic.
+std::atomic<int> g_truncated{0};
 
 exact::BbLimits g_limits;
 
@@ -180,7 +184,7 @@ int main(int argc, char** argv) {
   if (g_truncated > 0) {
     std::printf("\nWARNING: %d exact runs hit the %.1fs time limit; their rows are\n"
                 "upper bounds (incumbents), not proven optima.\n",
-                g_truncated, g_limits.time_limit_s);
+                g_truncated.load(), g_limits.time_limit_s);
   } else {
     std::printf("\nall exact runs proved optimality within the time limit.\n");
   }

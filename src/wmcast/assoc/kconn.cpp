@@ -23,7 +23,7 @@ void kconn_scan_pmin(const wlan::Scenario& sc, const wlan::Association& base,
   // members hand off or leave) already has the correct adopter min on hand —
   // no rescan is needed for the running→silent flip itself.
   const wlan::IndexSpan members = sc.users_of_ap(a);
-  const double* rates = sc.rates_of_ap(a);
+  const wlan::RateSpan rates = sc.rates_of_ap(a);
   for (size_t i = 0; i < members.size(); ++i) {
     const int u = members[i];
     if (base.ap_of(u) == wlan::kNoAp) continue;
@@ -91,7 +91,7 @@ void kconn_derive_user(const wlan::Scenario& sc, const wlan::Association& base,
   if (primary == wlan::kNoAp) return;  // base-unserved users stay unserved
 
   const wlan::IndexSpan heard = sc.aps_of_user(u);
-  const double* rates = sc.rates_of_user(u);
+  const wlan::RateSpan rates = sc.rates_of_user(u);
   const int cap = std::min(params.k, static_cast<int>(heard.size()));
   const int need = cap - 1;
   if (need <= 0) {
@@ -150,7 +150,7 @@ void kconn_settle_ap(const wlan::Scenario& sc, const wlan::LoadReport& base_load
   }
   if (any_started) {
     const wlan::IndexSpan members = sc.users_of_ap(a);
-    const double* rates = sc.rates_of_ap(a);
+    const wlan::RateSpan rates = sc.rates_of_ap(a);
     for (size_t i = 0; i < members.size(); ++i) {
       const int u = members[i];
       const int s = sc.user_session(u);

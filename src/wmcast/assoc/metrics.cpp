@@ -137,7 +137,7 @@ int choose_best_ap(const wlan::Scenario& sc, const wlan::LoadModel& model, int u
                    int current_ap, const PolicyParams& params) {
   const auto neighbors = sc.aps_of_user(u);
   if (neighbors.empty()) return current_ap;
-  const double* rates = sc.rates_of_user(u);
+  const wlan::RateSpan rates = sc.rates_of_user(u);
   const int s_u = sc.user_session(u);
 
   // Per-neighbor loads without u, and with u joined — the same values the

@@ -29,7 +29,7 @@ Solution single_session_mnu(const wlan::Scenario& sc) {
   auto assoc = wlan::Association::none(sc.n_users());
   for (int u = 0; u < sc.n_users(); ++u) {
     const auto aps = sc.aps_of_user(u);  // strongest first
-    const double* rates = sc.rates_of_user(u);
+    const wlan::RateSpan rates = sc.rates_of_user(u);
     for (size_t i = 0; i < aps.size(); ++i) {
       if (rates[i] >= min_rate) {
         assoc.user_ap[static_cast<size_t>(u)] = aps[i];
@@ -56,7 +56,7 @@ Solution single_session_bla(const wlan::Scenario& sc) {
     int best_ap = wlan::kNoAp;
     double best_rate = 0.0;
     const auto aps = sc.aps_of_user(u);  // strongest first breaks ties
-    const double* rates = sc.rates_of_user(u);
+    const wlan::RateSpan rates = sc.rates_of_user(u);
     for (size_t i = 0; i < aps.size(); ++i) {
       if (rates[i] > best_rate) {
         best_rate = rates[i];

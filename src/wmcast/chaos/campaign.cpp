@@ -130,7 +130,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg, std::ostream* progress) {
           std::vector<double>(static_cast<size_t>(sc.n_users()), 0.0));
       for (int a = 0; a < sc.n_aps(); ++a) {
         const wlan::IndexSpan members = sc.users_of_ap(a);
-        const double* rates = sc.rates_of_ap(a);
+        const wlan::RateSpan rates = sc.rates_of_ap(a);
         for (size_t k = 0; k < members.size(); ++k) {
           dense[static_cast<size_t>(a)][static_cast<size_t>(members[k])] = rates[k];
         }

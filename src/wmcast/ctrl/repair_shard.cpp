@@ -84,7 +84,7 @@ void polish_task(const wlan::Scenario& sc, const RepairShardParams& params,
       double best_rate = 0.0;
       Key best_key = before;
       const auto neighbors = sc.aps_of_user(u);
-      const double* rates = sc.rates_of_user(u);
+      const wlan::RateSpan rates = sc.rates_of_user(u);
       for (size_t i = 0; i < neighbors.size(); ++i) {
         const int a = neighbors[i];
         if (a == cur) continue;

@@ -12,10 +12,9 @@ CoverageReport analyze_coverage(const Scenario& sc, int histogram_buckets) {
   CoverageReport rep;
   rep.aps_per_user_histogram.assign(static_cast<size_t>(histogram_buckets), 0);
 
-  // Best-rate histogram keyed by the scenario's rate-level index: every rate a
-  // user can see is one of the (few) values in rate_levels(), so a flat count
-  // array replaces the old std::map<double, int> — no tree allocations in the
-  // per-user loop, identical ascending output order.
+  // Best-rate histogram keyed by the scenario's rate-level index: every link
+  // stores its rate as an index into rate_levels(), so a flat count array
+  // gives the ascending output order with no per-user search.
   const std::vector<double>& levels = sc.rate_levels();
   std::vector<int> best_rate_count(levels.size(), 0);
   int64_t ap_count_sum = 0;
@@ -26,11 +25,7 @@ CoverageReport analyze_coverage(const Scenario& sc, int histogram_buckets) {
     } else {
       ++rep.coverable_users;
       // Rows are strongest-first, so the best rate is entry 0.
-      const double best = sc.rates_of_user(u)[0];
-      const auto it = std::lower_bound(levels.begin(), levels.end(), best);
-      WMCAST_ASSERT(it != levels.end() && *it == best,
-                    "coverage: best rate missing from rate_levels()");
-      ++best_rate_count[static_cast<size_t>(it - levels.begin())];
+      ++best_rate_count[static_cast<size_t>(sc.rates_of_user(u).level(0))];
     }
     ap_count_sum += k;
     rep.max_aps_per_user = std::max(rep.max_aps_per_user, k);

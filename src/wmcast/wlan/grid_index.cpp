@@ -25,18 +25,21 @@ GridIndex::GridIndex(const std::vector<Point>& points, double cell_size) {
     max_x = std::max(max_x, p.x);
     max_y = std::max(max_y, p.y);
   }
-  nx_ = static_cast<int>(std::floor((max_x - min_x_) / cell_)) + 1;
-  ny_ = static_cast<int>(std::floor((max_y - min_y_) / cell_)) + 1;
+  // Cell counts in double, so an extreme extent cannot overflow the cast;
+  // the cap keeps cell_start_ (4 bytes a cell) at most 256 MB.
+  const double nx = std::floor((max_x - min_x_) / cell_) + 1.0;
+  const double ny = std::floor((max_y - min_y_) / cell_) + 1.0;
+  util::require(nx * ny <= static_cast<double>(kMaxCells),
+                "GridIndex: the points span more than 2^26 cells of the given size");
+  nx_ = static_cast<int>(nx);
+  ny_ = static_cast<int>(ny);
 
   const size_t n_cells = static_cast<size_t>(nx_) * static_cast<size_t>(ny_);
   cell_start_.assign(n_cells + 1, 0);
   // Counting sort by cell id keeps point ids ascending within each bucket.
   std::vector<int32_t> cell_of(static_cast<size_t>(n_points_));
   for (int i = 0; i < n_points_; ++i) {
-    const auto& p = points[static_cast<size_t>(i)];
-    const int cx = std::min(nx_ - 1, static_cast<int>(std::floor((p.x - min_x_) / cell_)));
-    const int cy = std::min(ny_ - 1, static_cast<int>(std::floor((p.y - min_y_) / cell_)));
-    const auto c = static_cast<int32_t>(cy * nx_ + cx);
+    const auto c = static_cast<int32_t>(cell_key(points[static_cast<size_t>(i)]));
     cell_of[static_cast<size_t>(i)] = c;
     ++cell_start_[static_cast<size_t>(c) + 1];
   }
@@ -54,16 +57,10 @@ void GridIndex::cell_range(const Point& p, double radius, int& cx_lo, int& cx_hi
   // floor is monotone, so any AP with |ap - p| <= radius has its cell index
   // inside [floor((p-r-min)/cell), floor((p+r-min)/cell)]; clamping to the
   // grid extent cannot exclude it (cells outside hold no APs).
-  const auto lo = [&](double v, double mn, int n) {
-    return std::clamp(static_cast<int>(std::floor((v - radius - mn) / cell_)), 0, n - 1);
-  };
-  const auto hi = [&](double v, double mn, int n) {
-    return std::clamp(static_cast<int>(std::floor((v + radius - mn) / cell_)), 0, n - 1);
-  };
-  cx_lo = lo(p.x, min_x_, nx_);
-  cx_hi = hi(p.x, min_x_, nx_);
-  cy_lo = lo(p.y, min_y_, ny_);
-  cy_hi = hi(p.y, min_y_, ny_);
+  cx_lo = cell_index(p.x - radius, min_x_, nx_);
+  cx_hi = cell_index(p.x + radius, min_x_, nx_);
+  cy_lo = cell_index(p.y - radius, min_y_, ny_);
+  cy_hi = cell_index(p.y + radius, min_y_, ny_);
 }
 
 }  // namespace wmcast::wlan

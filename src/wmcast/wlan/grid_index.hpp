@@ -44,11 +44,8 @@ class GridIndex {
   /// in-range neighborhood).
   int64_t cell_key(const Point& p) const {
     if (n_points_ == 0) return 0;
-    const int cx = std::clamp(
-        static_cast<int>(std::floor((p.x - min_x_) / cell_)), 0, nx_ - 1);
-    const int cy = std::clamp(
-        static_cast<int>(std::floor((p.y - min_y_) / cell_)), 0, ny_ - 1);
-    return static_cast<int64_t>(cy) * nx_ + cx;
+    return static_cast<int64_t>(cell_index(p.y, min_y_, ny_)) * nx_ +
+           cell_index(p.x, min_x_, nx_);
   }
 
   /// Calls fn(i) for every indexed point i whose cell intersects the closed
@@ -73,6 +70,21 @@ class GridIndex {
   }
 
  private:
+  /// The grid's cell count is capped (GridIndex throws beyond it), so a
+  /// scenario spread over an extreme extent fails clearly instead of
+  /// exhausting memory.
+  static constexpr int64_t kMaxCells = int64_t{1} << 26;
+
+  /// Index along one axis (origin mn, n cells) of the cell holding
+  /// coordinate v, clamped to the grid. The clamp happens in double, so a
+  /// coordinate far outside the grid cannot overflow the int cast; a NaN
+  /// coordinate fails `f > 0` and lands in cell 0.
+  int cell_index(double v, double mn, int n) const {
+    const double f = std::floor((v - mn) / cell_);
+    if (!(f > 0.0)) return 0;
+    return f < n - 1 ? static_cast<int>(f) : n - 1;
+  }
+
   /// Clamped cell rectangle covering the disk (center p, radius r).
   void cell_range(const Point& p, double radius, int& cx_lo, int& cx_hi, int& cy_lo,
                   int& cy_hi) const;

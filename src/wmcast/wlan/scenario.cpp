@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 
 #include "wmcast/util/assert.hpp"
 #include "wmcast/util/thread_pool.hpp"
@@ -12,35 +10,78 @@ namespace wmcast::wlan {
 
 namespace {
 
-/// One candidate AP of one user, as found by the grid query.
+/// A link stores its rate as a one-byte index into rate_levels_.
+constexpr size_t kMaxRateLevels = 256;
+
+/// One candidate AP of one user. A row orders its candidates strongest first
+/// by (key, AP id): the key is the distance for geometric instances and the
+/// negated rate for explicit ones.
 struct Cand {
-  double dist;
+  double key;
   int ap;
-  int step;  // index into table.steps()
+  int level;  // index into rate_levels_
 };
 
-/// Strongest-first order of a geometric row: closer = stronger, AP id ties.
-bool closer(const Cand& a, const Cand& b) {
-  return a.dist != b.dist ? a.dist < b.dist : a.ap < b.ap;
+/// The levels of a geometric instance: every rate of its table, ascending,
+/// so table step i is level n_steps - 1 - i.
+std::vector<double> table_levels(const RateTable& table) {
+  const auto& steps = table.steps();
+  util::require(steps.size() <= kMaxRateLevels,
+                "Scenario: a rate table may have at most 256 rates (a link stores its "
+                "rate level in one byte)");
+  std::vector<double> levels(steps.size());
+  for (size_t i = 0; i < steps.size(); ++i) {
+    levels[steps.size() - 1 - i] = steps[i].rate_mbps;
+  }
+  return levels;
 }
 
 /// Gathers the in-range candidates of a point from the AP grid. The grid
 /// over-approximates by cell, so each candidate is distance-filtered exactly;
-/// rate_for_distance is inclusive at each threshold, hence `d <= radius`
+/// rate_for_distance is inclusive at each threshold, hence `d <= range`
 /// keeps an AP at exactly the maximum range.
 void query_row(const GridIndex& grid, const std::vector<Point>& ap_pos,
-               const RateTable& table, double radius, const Point& up,
-               std::vector<Cand>& out) {
+               const RateTable& table, const Point& up, std::vector<Cand>& out) {
+  const double range = table.range_m();
+  const int top = static_cast<int>(table.steps().size()) - 1;
   out.clear();
-  grid.for_each_candidate(up, radius, [&](int a) {
+  grid.for_each_candidate(up, range, [&](int a) {
     const double d = distance(ap_pos[static_cast<size_t>(a)], up);
-    const int step = table.step_index_for_distance(d);
-    if (step >= 0) out.push_back({d, a, step});
+    if (d <= range) out.push_back({d, a, top - table.step_index_for_distance(d)});
   });
-  std::sort(out.begin(), out.end(), closer);
 }
 
 }  // namespace
+
+/// The one row writer. Every construction path hands it each user's
+/// candidates, in any order; it orders them strongest first and appends the
+/// row. A writer holds the rows of one run of consecutive users, and
+/// set_rows() places the runs in user order.
+struct Scenario::RowWriter {
+  std::vector<int64_t> end;  // end of each row, relative to this run
+  std::vector<int> ap;
+  std::vector<uint8_t> level;
+
+  void add(std::vector<Cand>& cand) {
+    // AP ids are distinct within a row, so the order is total: the row does
+    // not depend on the order the candidates were found in.
+    std::sort(cand.begin(), cand.end(), [](const Cand& x, const Cand& y) {
+      return x.key != y.key ? x.key < y.key : x.ap < y.ap;
+    });
+    for (const Cand& c : cand) {
+      ap.push_back(c.ap);
+      level.push_back(static_cast<uint8_t>(c.level));
+    }
+    end.push_back(static_cast<int64_t>(ap.size()));
+  }
+
+  /// Appends a row that is already in order (apply_delta's unmoved users).
+  void copy(IndexSpan aps, const uint8_t* levels) {
+    ap.insert(ap.end(), aps.begin(), aps.end());
+    level.insert(level.end(), levels, levels + aps.size());
+    end.push_back(static_cast<int64_t>(ap.size()));
+  }
+};
 
 Scenario Scenario::from_geometry(std::vector<Point> ap_pos, std::vector<Point> user_pos,
                                  std::vector<int> user_session,
@@ -59,8 +100,6 @@ Scenario Scenario::from_geometry(std::vector<Point> ap_pos, std::vector<Point> u
   sc.validate_core();
   sc.grid_ = GridIndex(sc.ap_pos_, table.range_m());
   sc.build_geometric_rows(pool);
-  sc.build_transpose();
-  sc.finalize_stats();
   return sc;
 }
 
@@ -80,6 +119,7 @@ Scenario Scenario::from_geometry_dense(std::vector<Point> ap_pos,
   sc.table_ = table;
   sc.validate_core();
   sc.grid_ = GridIndex(sc.ap_pos_, table.range_m());
+  sc.rate_levels_ = table_levels(table);
 
   // The pre-sparse build: materialize the full AP×user matrix with the
   // O(n_aps · n_users) pairwise scan, then project its positive entries.
@@ -94,16 +134,8 @@ Scenario Scenario::from_geometry_dense(std::vector<Point> ap_pos,
     }
   }
 
-  const int n_steps = static_cast<int>(table.steps().size());
-  sc.rate_levels_.resize(static_cast<size_t>(n_steps));
-  for (int i = 0; i < n_steps; ++i) {
-    sc.rate_levels_[static_cast<size_t>(n_steps - 1 - i)] =
-        table.steps()[static_cast<size_t>(i)].rate_mbps;
-  }
-  sc.rate_level_count_.assign(static_cast<size_t>(n_steps), 0);
-
-  sc.user_row_.assign(static_cast<size_t>(sc.n_users_) + 1, 0);
-  sc.strongest_ap_.assign(static_cast<size_t>(sc.n_users_), kNoAp);
+  const int top = static_cast<int>(table.steps().size()) - 1;
+  std::vector<RowWriter> runs(1);
   std::vector<Cand> cand;
   for (int u = 0; u < sc.n_users_; ++u) {
     cand.clear();
@@ -114,29 +146,11 @@ Scenario Scenario::from_geometry_dense(std::vector<Point> ap_pos,
         continue;
       }
       const double d = distance(sc.ap_pos_[static_cast<size_t>(a)], up);
-      cand.push_back({d, a, table.step_index_for_distance(d)});
+      cand.push_back({d, a, top - table.step_index_for_distance(d)});
     }
-    std::sort(cand.begin(), cand.end(), closer);
-    const auto base = static_cast<int64_t>(sc.nbr_ap_.size());
-    for (const Cand& c : cand) {
-      sc.nbr_ap_.push_back(c.ap);
-      sc.nbr_rate_.push_back(table.steps()[static_cast<size_t>(c.step)].rate_mbps);
-      ++sc.rate_level_count_[static_cast<size_t>(n_steps - 1 - c.step)];
-    }
-    sc.nbr_by_ap_.resize(sc.nbr_ap_.size());
-    int* by = sc.nbr_by_ap_.data() + base;
-    std::iota(by, by + cand.size(), 0);
-    std::sort(by, by + cand.size(), [&](int x, int y) {
-      return sc.nbr_ap_[static_cast<size_t>(base + x)] <
-             sc.nbr_ap_[static_cast<size_t>(base + y)];
-    });
-    if (!cand.empty()) {
-      sc.strongest_ap_[static_cast<size_t>(u)] = sc.nbr_ap_[static_cast<size_t>(base)];
-    }
-    sc.user_row_[static_cast<size_t>(u) + 1] = static_cast<int64_t>(sc.nbr_ap_.size());
+    runs[0].add(cand);
   }
-  sc.build_transpose();
-  sc.finalize_stats();
+  sc.set_rows(runs);
   return sc;
 }
 
@@ -152,62 +166,39 @@ Scenario Scenario::from_link_rates(std::vector<std::vector<double>> link_rate,
   sc.session_rate_ = std::move(session_rate_mbps);
   sc.load_budget_ = load_budget;
   sc.validate_core();
+  std::vector<double>& levels = sc.rate_levels_;
   for (int a = 0; a < sc.n_aps_; ++a) {
     util::require(static_cast<int>(link_rate[static_cast<size_t>(a)].size()) == sc.n_users_,
                   "Scenario: ragged link-rate matrix");
     for (const double r : link_rate[static_cast<size_t>(a)]) {
       util::require(r >= 0.0, "Scenario: link rates must be non-negative");
+      if (r > 0.0) levels.push_back(r);
     }
-  }
-
-  // Project the dense input to CSR, keeping only positive rates. Strongest
-  // order for explicit instances is by rate (higher = stronger), AP id ties.
-  sc.user_row_.assign(static_cast<size_t>(sc.n_users_) + 1, 0);
-  sc.strongest_ap_.assign(static_cast<size_t>(sc.n_users_), kNoAp);
-  std::vector<std::pair<double, int>> cand;  // (rate, ap)
-  for (int u = 0; u < sc.n_users_; ++u) {
-    cand.clear();
-    for (int a = 0; a < sc.n_aps_; ++a) {
-      const double r = link_rate[static_cast<size_t>(a)][static_cast<size_t>(u)];
-      if (r > 0.0) cand.emplace_back(r, a);
-    }
-    std::sort(cand.begin(), cand.end(), [](const auto& x, const auto& y) {
-      return x.first != y.first ? x.first > y.first : x.second < y.second;
-    });
-    const auto base = static_cast<int64_t>(sc.nbr_ap_.size());
-    for (const auto& [r, a] : cand) {
-      sc.nbr_ap_.push_back(a);
-      sc.nbr_rate_.push_back(r);
-    }
-    sc.nbr_by_ap_.resize(sc.nbr_ap_.size());
-    int* by = sc.nbr_by_ap_.data() + base;
-    std::iota(by, by + cand.size(), 0);
-    std::sort(by, by + cand.size(), [&](int x, int y) {
-      return sc.nbr_ap_[static_cast<size_t>(base + x)] <
-             sc.nbr_ap_[static_cast<size_t>(base + y)];
-    });
-    if (!cand.empty()) {
-      sc.strongest_ap_[static_cast<size_t>(u)] = sc.nbr_ap_[static_cast<size_t>(base)];
-    }
-    sc.user_row_[static_cast<size_t>(u) + 1] = static_cast<int64_t>(sc.nbr_ap_.size());
   }
 
   // Explicit instances have no rate table: the levels are whatever rates
   // actually occur.
-  sc.rate_levels_.assign(sc.nbr_rate_.begin(), sc.nbr_rate_.end());
-  std::sort(sc.rate_levels_.begin(), sc.rate_levels_.end());
-  sc.rate_levels_.erase(std::unique(sc.rate_levels_.begin(), sc.rate_levels_.end()),
-                        sc.rate_levels_.end());
-  sc.rate_level_count_.assign(sc.rate_levels_.size(), 0);
-  for (const double r : sc.nbr_rate_) {
-    const auto i = static_cast<size_t>(
-        std::lower_bound(sc.rate_levels_.begin(), sc.rate_levels_.end(), r) -
-        sc.rate_levels_.begin());
-    ++sc.rate_level_count_[i];
-  }
+  std::sort(levels.begin(), levels.end());
+  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+  util::require(levels.size() <= kMaxRateLevels,
+                "Scenario: more than 256 distinct link rates (a link stores its rate "
+                "level in one byte)");
 
-  sc.build_transpose();
-  sc.finalize_stats();
+  // Strongest order for explicit instances is by rate (higher = stronger),
+  // AP id ties: the key is the negated rate.
+  std::vector<RowWriter> runs(1);
+  std::vector<Cand> cand;
+  for (int u = 0; u < sc.n_users_; ++u) {
+    cand.clear();
+    for (int a = 0; a < sc.n_aps_; ++a) {
+      const double r = link_rate[static_cast<size_t>(a)][static_cast<size_t>(u)];
+      if (r <= 0.0) continue;
+      const auto level = std::lower_bound(levels.begin(), levels.end(), r) - levels.begin();
+      cand.push_back({-r, a, static_cast<int>(level)});
+    }
+    runs[0].add(cand);
+  }
+  sc.set_rows(runs);
   return sc;
 }
 
@@ -225,96 +216,68 @@ void Scenario::validate_core() const {
     const int s = user_session_[static_cast<size_t>(u)];
     util::require(s >= 0 && s < n_sessions(), "Scenario: user requests invalid session");
   }
+  for (const Point& p : user_pos_) {
+    util::require(std::isfinite(p.x) && std::isfinite(p.y),
+                  "Scenario: non-finite user position");
+  }
 }
 
 void Scenario::build_geometric_rows(util::ThreadPool* pool) {
-  const RateTable& table = *table_;
-  const double radius = table.range_m();
-  const int n_steps = static_cast<int>(table.steps().size());
+  rate_levels_ = table_levels(*table_);
 
-  rate_levels_.resize(static_cast<size_t>(n_steps));
-  for (int i = 0; i < n_steps; ++i) {
-    rate_levels_[static_cast<size_t>(n_steps - 1 - i)] =
-        table.steps()[static_cast<size_t>(i)].rate_mbps;
-  }
-  rate_level_count_.assign(static_cast<size_t>(n_steps), 0);
-
+  // One grid query per user; each lane writes the rows of its static chunk
+  // of users into its own run. Every row is a pure function of the inputs
+  // and the runs are placed in user order, so the result is bit-identical at
+  // any lane count.
   const bool parallel = pool != nullptr && pool->size() > 1 && n_users_ > 1;
-  const int lanes = parallel ? pool->size() : 1;
+  std::vector<RowWriter> runs(parallel ? static_cast<size_t>(pool->size()) : 1);
+  const auto fill = [&](int64_t b, int64_t e, int lane) {
+    RowWriter run;  // lane-local while it grows, so lanes share no cache line
+    std::vector<Cand> cand;
+    for (int64_t u = b; u < e; ++u) {
+      query_row(grid_, ap_pos_, *table_, user_pos_[static_cast<size_t>(u)], cand);
+      run.add(cand);
+    }
+    runs[static_cast<size_t>(lane)] = std::move(run);
+  };
+  if (parallel) {
+    pool->parallel_for(0, n_users_, fill);
+  } else {
+    fill(0, n_users_, 0);
+  }
+  set_rows(runs);
+}
 
-  // Pass 1: exact per-user candidate counts. The candidate predicate
-  // (distance within the basic-rate radius) is the same one pass 2 filters
-  // by, so the counts are the row lengths.
+void Scenario::set_rows(std::vector<RowWriter>& runs) {
   user_row_.assign(static_cast<size_t>(n_users_) + 1, 0);
-  const auto count_user = [&](int u) {
-    const Point up = user_pos_[static_cast<size_t>(u)];
-    int64_t k = 0;
-    grid_.for_each_candidate(up, radius, [&](int a) {
-      if (distance(ap_pos_[static_cast<size_t>(a)], up) <= radius) ++k;
-    });
-    user_row_[static_cast<size_t>(u) + 1] = k;
-  };
-  if (parallel) {
-    pool->parallel_for(0, n_users_, [&](int64_t b, int64_t e, int) {
-      for (int64_t u = b; u < e; ++u) count_user(static_cast<int>(u));
-    });
+  size_t u = 0;
+  int64_t base = 0;
+  for (const RowWriter& run : runs) {
+    for (const int64_t e : run.end) user_row_[++u] = base + e;
+    base += static_cast<int64_t>(run.ap.size());
+  }
+  WMCAST_ASSERT(u == static_cast<size_t>(n_users_), "Scenario: row count mismatch");
+  // A single run (every serial build) is moved in. It grew by push_back, so
+  // its capacity may reach twice its size, but nothing writes past size():
+  // at the sizes where that matters the tail is untouched mmap pages, which
+  // hold no memory. Copying into exactly sized arrays instead left the peak
+  // RSS of a 1M-user build unchanged and made the build 0.24 s slower.
+  if (runs.size() == 1) {
+    nbr_ap_ = std::move(runs[0].ap);
+    nbr_level_ = std::move(runs[0].level);
   } else {
-    for (int u = 0; u < n_users_; ++u) count_user(u);
-  }
-
-  // Serial exclusive scan -> CSR offsets.
-  for (int u = 0; u < n_users_; ++u) {
-    user_row_[static_cast<size_t>(u) + 1] += user_row_[static_cast<size_t>(u)];
-  }
-  const int64_t n_links = user_row_[static_cast<size_t>(n_users_)];
-  nbr_ap_.resize(static_cast<size_t>(n_links));
-  nbr_rate_.resize(static_cast<size_t>(n_links));
-  nbr_by_ap_.resize(static_cast<size_t>(n_links));
-  strongest_ap_.assign(static_cast<size_t>(n_users_), kNoAp);
-
-  // Pass 2: fill the rows. Each user's row is a pure function of the inputs
-  // and lands in its own pre-sized slice, so static chunking makes the build
-  // bit-identical at any lane count; per-lane scratch and per-lane level
-  // counters (summed afterwards — integer addition commutes) avoid sharing.
-  std::vector<std::vector<Cand>> scratch(static_cast<size_t>(lanes));
-  std::vector<std::vector<int64_t>> lane_level(
-      static_cast<size_t>(lanes), std::vector<int64_t>(static_cast<size_t>(n_steps), 0));
-  const auto fill_user = [&](int u, int lane) {
-    auto& cand = scratch[static_cast<size_t>(lane)];
-    query_row(grid_, ap_pos_, table, radius, user_pos_[static_cast<size_t>(u)], cand);
-    const int64_t base = user_row_[static_cast<size_t>(u)];
-    WMCAST_ASSERT(static_cast<int64_t>(cand.size()) ==
-                      user_row_[static_cast<size_t>(u) + 1] - base,
-                  "Scenario: candidate count drifted between passes");
-    auto& levels = lane_level[static_cast<size_t>(lane)];
-    for (size_t i = 0; i < cand.size(); ++i) {
-      nbr_ap_[static_cast<size_t>(base) + i] = cand[i].ap;
-      nbr_rate_[static_cast<size_t>(base) + i] =
-          table.steps()[static_cast<size_t>(cand[i].step)].rate_mbps;
-      ++levels[static_cast<size_t>(n_steps - 1 - cand[i].step)];
-    }
-    int* by = nbr_by_ap_.data() + base;
-    std::iota(by, by + cand.size(), 0);
-    std::sort(by, by + cand.size(), [&](int x, int y) {
-      return nbr_ap_[static_cast<size_t>(base + x)] <
-             nbr_ap_[static_cast<size_t>(base + y)];
-    });
-    if (!cand.empty()) {
-      strongest_ap_[static_cast<size_t>(u)] = nbr_ap_[static_cast<size_t>(base)];
-    }
-  };
-  if (parallel) {
-    pool->parallel_for(0, n_users_, [&](int64_t b, int64_t e, int lane) {
-      for (int64_t u = b; u < e; ++u) fill_user(static_cast<int>(u), lane);
-    });
-  } else {
-    for (int u = 0; u < n_users_; ++u) fill_user(u, 0);
-  }
-  for (const auto& levels : lane_level) {
-    for (int i = 0; i < n_steps; ++i) {
-      rate_level_count_[static_cast<size_t>(i)] += levels[static_cast<size_t>(i)];
+    nbr_ap_.reserve(static_cast<size_t>(base));
+    nbr_level_.reserve(static_cast<size_t>(base));
+    for (RowWriter& run : runs) {
+      nbr_ap_.insert(nbr_ap_.end(), run.ap.begin(), run.ap.end());
+      nbr_level_.insert(nbr_level_.end(), run.level.begin(), run.level.end());
+      run = RowWriter();  // release the run once placed
     }
   }
+  rate_level_count_.assign(rate_levels_.size(), 0);
+  for (const uint8_t l : nbr_level_) ++rate_level_count_[l];
+  build_transpose();
+  finalize_stats();
 }
 
 void Scenario::build_transpose() {
@@ -326,7 +289,7 @@ void Scenario::build_transpose() {
     ap_row_[static_cast<size_t>(a) + 1] += ap_row_[static_cast<size_t>(a)];
   }
   ap_user_.resize(nbr_ap_.size());
-  ap_user_rate_.resize(nbr_ap_.size());
+  ap_user_level_.resize(nbr_ap_.size());
   std::vector<int64_t> fill(ap_row_.begin(), ap_row_.end() - 1);
   for (int u = 0; u < n_users_; ++u) {
     for (int64_t pos = user_row_[static_cast<size_t>(u)];
@@ -334,7 +297,7 @@ void Scenario::build_transpose() {
       const auto a = static_cast<size_t>(nbr_ap_[static_cast<size_t>(pos)]);
       const auto at = static_cast<size_t>(fill[a]++);
       ap_user_[at] = u;
-      ap_user_rate_[at] = nbr_rate_[static_cast<size_t>(pos)];
+      ap_user_level_[at] = nbr_level_[static_cast<size_t>(pos)];
     }
   }
 }
@@ -358,9 +321,8 @@ void Scenario::finalize_stats() {
 size_t Scenario::memory_bytes() const {
   const auto vb = [](const auto& v) { return v.size() * sizeof(*v.data()); };
   return vb(user_session_) + vb(session_rate_) + vb(user_row_) + vb(nbr_ap_) +
-         vb(nbr_rate_) + vb(nbr_by_ap_) + vb(ap_row_) + vb(ap_user_) +
-         vb(ap_user_rate_) + vb(strongest_ap_) + vb(rate_levels_) +
-         vb(rate_level_count_) + vb(ap_pos_) + vb(user_pos_);
+         vb(nbr_level_) + vb(ap_row_) + vb(ap_user_) + vb(ap_user_level_) +
+         vb(rate_levels_) + vb(rate_level_count_) + vb(ap_pos_) + vb(user_pos_);
 }
 
 Scenario Scenario::with_budget(double load_budget) const {
@@ -387,8 +349,8 @@ Scenario Scenario::apply_delta(const ScenarioDelta& delta,
   util::require(has_geometry() && table_.has_value(),
                 "apply_delta: needs a geometric scenario");
 
-  // Metadata and untouched caches carry over; the CSR arrays are rebuilt
-  // below (copied row-by-row, so the big copy happens exactly once).
+  // Metadata carries over; the rows are rewritten below, movers' from a
+  // fresh grid query and everyone else's verbatim.
   Scenario out;
   out.n_aps_ = n_aps_;
   out.n_users_ = n_users_;
@@ -396,12 +358,10 @@ Scenario Scenario::apply_delta(const ScenarioDelta& delta,
   out.session_rate_ = session_rate_;
   out.load_budget_ = load_budget_;
   out.rate_levels_ = rate_levels_;
-  out.rate_level_count_ = rate_level_count_;
   out.ap_pos_ = ap_pos_;
   out.user_pos_ = user_pos_;
   out.table_ = table_;
   out.grid_ = grid_;
-  out.strongest_ap_ = strongest_ap_;
 
   std::vector<char> ap_mark(static_cast<size_t>(n_aps_), 0);
   std::vector<int> dirty;
@@ -424,108 +384,30 @@ Scenario Scenario::apply_delta(const ScenarioDelta& delta,
 
   // Moves: last position wins per user.
   std::vector<char> moved(static_cast<size_t>(n_users_), 0);
-  std::vector<int> moved_users;
   for (const auto& [u, p] : delta.moved) {
     util::require(u >= 0 && u < n_users_, "apply_delta: move of unknown user");
     util::require(std::isfinite(p.x) && std::isfinite(p.y),
                   "apply_delta: non-finite position");
     out.user_pos_[static_cast<size_t>(u)] = p;
+    moved[static_cast<size_t>(u)] = 1;
+  }
+
+  // Old and new candidate APs of a mover alike see their member set change.
+  std::vector<RowWriter> runs(1);
+  std::vector<Cand> cand;
+  for (int u = 0; u < n_users_; ++u) {
+    const IndexSpan aps = aps_of_user(u);
     if (!moved[static_cast<size_t>(u)]) {
-      moved[static_cast<size_t>(u)] = 1;
-      moved_users.push_back(u);
+      runs[0].copy(aps, nbr_level_.data() + user_row_[static_cast<size_t>(u)]);
+      continue;
     }
+    for (const int a : aps) mark(a);
+    query_row(grid_, ap_pos_, *table_, out.user_pos_[static_cast<size_t>(u)], cand);
+    for (const Cand& c : cand) mark(c.ap);
+    runs[0].add(cand);
   }
-  std::sort(moved_users.begin(), moved_users.end());
+  out.set_rows(runs);
 
-  if (moved_users.empty()) {
-    out.user_row_ = user_row_;
-    out.nbr_ap_ = nbr_ap_;
-    out.nbr_rate_ = nbr_rate_;
-    out.nbr_by_ap_ = nbr_by_ap_;
-  } else {
-    const RateTable& table = *table_;
-    const double radius = table.range_m();
-    const int n_steps = static_cast<int>(table.steps().size());
-    const auto level_of = [&](int step) { return static_cast<size_t>(n_steps - 1 - step); };
-
-    // Fresh rows for the movers (grid re-query at the new position); old and
-    // new candidate APs alike see their member set change.
-    std::vector<int64_t> new_start(moved_users.size() + 1, 0);
-    std::vector<Cand> new_rows;
-    std::vector<Cand> cand;
-    for (size_t m = 0; m < moved_users.size(); ++m) {
-      const int u = moved_users[m];
-      for (int64_t pos = user_row_[static_cast<size_t>(u)];
-           pos < user_row_[static_cast<size_t>(u) + 1]; ++pos) {
-        mark(nbr_ap_[static_cast<size_t>(pos)]);
-        const int step = table.step_index_for_distance(
-            distance(ap_pos_[static_cast<size_t>(nbr_ap_[static_cast<size_t>(pos)])],
-                     user_pos_[static_cast<size_t>(u)]));
-        WMCAST_ASSERT(step >= 0, "apply_delta: stored link out of range");
-        --out.rate_level_count_[level_of(step)];
-      }
-      query_row(grid_, ap_pos_, table, radius, out.user_pos_[static_cast<size_t>(u)],
-                cand);
-      for (const Cand& c : cand) {
-        mark(c.ap);
-        ++out.rate_level_count_[level_of(c.step)];
-        new_rows.push_back(c);
-      }
-      new_start[m + 1] = static_cast<int64_t>(new_rows.size());
-    }
-
-    // Stitch the new CSR: movers get their fresh rows, everyone else's row
-    // (including its row-local search index) is copied verbatim.
-    std::vector<int32_t> moved_idx(static_cast<size_t>(n_users_), -1);
-    for (size_t m = 0; m < moved_users.size(); ++m) {
-      moved_idx[static_cast<size_t>(moved_users[m])] = static_cast<int32_t>(m);
-    }
-    out.user_row_.assign(static_cast<size_t>(n_users_) + 1, 0);
-    for (int u = 0; u < n_users_; ++u) {
-      const int32_t m = moved_idx[static_cast<size_t>(u)];
-      const int64_t len = m >= 0 ? new_start[static_cast<size_t>(m) + 1] -
-                                       new_start[static_cast<size_t>(m)]
-                                 : user_row_[static_cast<size_t>(u) + 1] -
-                                       user_row_[static_cast<size_t>(u)];
-      out.user_row_[static_cast<size_t>(u) + 1] =
-          out.user_row_[static_cast<size_t>(u)] + len;
-    }
-    const auto n_links = static_cast<size_t>(out.user_row_[static_cast<size_t>(n_users_)]);
-    out.nbr_ap_.resize(n_links);
-    out.nbr_rate_.resize(n_links);
-    out.nbr_by_ap_.resize(n_links);
-    for (int u = 0; u < n_users_; ++u) {
-      const int64_t base = out.user_row_[static_cast<size_t>(u)];
-      const int32_t m = moved_idx[static_cast<size_t>(u)];
-      if (m < 0) {
-        const int64_t old_base = user_row_[static_cast<size_t>(u)];
-        const int64_t len = user_row_[static_cast<size_t>(u) + 1] - old_base;
-        std::copy_n(nbr_ap_.begin() + old_base, len, out.nbr_ap_.begin() + base);
-        std::copy_n(nbr_rate_.begin() + old_base, len, out.nbr_rate_.begin() + base);
-        std::copy_n(nbr_by_ap_.begin() + old_base, len, out.nbr_by_ap_.begin() + base);
-        continue;
-      }
-      const int64_t lo = new_start[static_cast<size_t>(m)];
-      const int64_t len = new_start[static_cast<size_t>(m) + 1] - lo;
-      for (int64_t i = 0; i < len; ++i) {
-        const Cand& c = new_rows[static_cast<size_t>(lo + i)];
-        out.nbr_ap_[static_cast<size_t>(base + i)] = c.ap;
-        out.nbr_rate_[static_cast<size_t>(base + i)] =
-            table.steps()[static_cast<size_t>(c.step)].rate_mbps;
-      }
-      int* by = out.nbr_by_ap_.data() + base;
-      std::iota(by, by + len, 0);
-      std::sort(by, by + len, [&](int x, int y) {
-        return out.nbr_ap_[static_cast<size_t>(base + x)] <
-               out.nbr_ap_[static_cast<size_t>(base + y)];
-      });
-      out.strongest_ap_[static_cast<size_t>(u)] =
-          len > 0 ? out.nbr_ap_[static_cast<size_t>(base)] : kNoAp;
-    }
-  }
-
-  out.build_transpose();
-  out.finalize_stats();
   if (dirty_aps != nullptr) {
     std::sort(dirty.begin(), dirty.end());
     *dirty_aps = std::move(dirty);

@@ -9,12 +9,14 @@
 //                      examples, e.g. Fig. 1, use arbitrary rates).
 //
 // Storage is sparse (DESIGN.md §11): only positive link rates are kept, in
-// CSR form — one strongest-first (ap, rate) row per user plus the
-// users_of_ap transpose. Geometric instances are built by querying a
-// uniform-grid index over the AP positions, so construction costs
-// O(n_users · k̄) for average candidate degree k̄, not O(n_users · n_aps),
-// and memory likewise. The dense-input constructor is retained for
-// non-geometric/test instances and projected to CSR at build time.
+// CSR form — one strongest-first row per user plus the users_of_ap
+// transpose. A link costs 10 bytes: each row entry is a 4-byte AP (or user)
+// id and a one-byte index into rate_levels(), the instance's few distinct
+// PHY rates (Table 1 has seven). Geometric instances are built by querying
+// a uniform-grid index over the AP positions once per user, so construction
+// costs O(n_users · k̄) for average candidate degree k̄, not
+// O(n_users · n_aps), and memory likewise. Every construction path hands its
+// candidates to one row writer, which orders each row and stores it.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +74,25 @@ class IndexSpan {
   size_t size_ = 0;
 };
 
+/// Non-owning view of the link rates parallel to a CSR row. Each link stores
+/// a one-byte index into the scenario's rate levels; entry i reads the rate
+/// of the row's i-th link through it. Valid as long as the owning Scenario
+/// is alive.
+class RateSpan {
+ public:
+  RateSpan() = default;
+  RateSpan(const uint8_t* level, const double* rate_of_level)
+      : level_(level), rate_of_level_(rate_of_level) {}
+
+  double operator[](size_t i) const { return rate_of_level_[level_[i]]; }
+  /// Index of entry i's rate in Scenario::rate_levels().
+  int level(size_t i) const { return level_[i]; }
+
+ private:
+  const uint8_t* level_ = nullptr;
+  const double* rate_of_level_ = nullptr;
+};
+
 /// A batch of user-level changes for incremental rebuilds (mobility.cpp):
 /// moved users get fresh candidate rows from the grid, rezapped users keep
 /// their rows but change session. Duplicate user entries apply in order
@@ -119,25 +140,16 @@ class Scenario {
   int n_users() const { return n_users_; }
   int n_sessions() const { return static_cast<int>(session_rate_.size()); }
 
-  /// Maximum PHY rate from AP `a` to user `u`; 0 when out of range. Binary
-  /// search over the user's ap-sorted row (O(log k), k = candidate APs).
+  /// Maximum PHY rate from AP `a` to user `u`; 0 when out of range. A scan
+  /// of the user's row (O(k), k = candidate APs, about 20 at the paper's
+  /// densities); rows are strongest first, so the APs a user is likely to
+  /// sit on come up early.
   double link_rate(int a, int u) const {
-    const int64_t b = user_row_[static_cast<size_t>(u)];
-    const int64_t e = user_row_[static_cast<size_t>(u) + 1];
-    int64_t lo = b;
-    int64_t hi = e;
-    while (lo < hi) {
-      const int64_t mid = lo + (hi - lo) / 2;
-      const auto pos = static_cast<size_t>(b + nbr_by_ap_[static_cast<size_t>(mid)]);
-      if (nbr_ap_[pos] < a) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
+    const auto e = static_cast<size_t>(user_row_[static_cast<size_t>(u) + 1]);
+    for (auto pos = static_cast<size_t>(user_row_[static_cast<size_t>(u)]); pos < e; ++pos) {
+      if (nbr_ap_[pos] == a) return rate_levels_[nbr_level_[pos]];
     }
-    if (lo == e) return 0.0;
-    const auto pos = static_cast<size_t>(b + nbr_by_ap_[static_cast<size_t>(lo)]);
-    return nbr_ap_[pos] == a ? nbr_rate_[pos] : 0.0;
+    return 0.0;
   }
   bool in_range(int a, int u) const { return link_rate(a, u) > 0.0; }
 
@@ -156,9 +168,10 @@ class Scenario {
             static_cast<size_t>(user_row_[static_cast<size_t>(u) + 1] - b)};
   }
   /// Link rates parallel to aps_of_user(u): rates_of_user(u)[i] is the rate
-  /// to aps_of_user(u)[i]. All entries are positive.
-  const double* rates_of_user(int u) const {
-    return nbr_rate_.data() + user_row_[static_cast<size_t>(u)];
+  /// to aps_of_user(u)[i], read through the link's rate level. All entries
+  /// are positive.
+  RateSpan rates_of_user(int u) const {
+    return {nbr_level_.data() + user_row_[static_cast<size_t>(u)], rate_levels_.data()};
   }
 
   /// Users within range of AP `a`, ascending id.
@@ -167,21 +180,28 @@ class Scenario {
     return {ap_user_.data() + b,
             static_cast<size_t>(ap_row_[static_cast<size_t>(a) + 1] - b)};
   }
-  /// Link rates parallel to users_of_ap(a).
-  const double* rates_of_ap(int a) const {
-    return ap_user_rate_.data() + ap_row_[static_cast<size_t>(a)];
+  /// Link rates parallel to users_of_ap(a), read through the link's level.
+  RateSpan rates_of_ap(int a) const {
+    return {ap_user_level_.data() + ap_row_[static_cast<size_t>(a)], rate_levels_.data()};
   }
 
-  /// Strongest-signal AP of user `u` (kNoAp when no AP is in range).
-  int strongest_ap(int u) const { return strongest_ap_[static_cast<size_t>(u)]; }
+  /// Strongest-signal AP of user `u`: the first entry of its row (kNoAp when
+  /// no AP is in range).
+  int strongest_ap(int u) const {
+    const int64_t b = user_row_[static_cast<size_t>(u)];
+    return b < user_row_[static_cast<size_t>(u) + 1] ? nbr_ap_[static_cast<size_t>(b)]
+                                                     : kNoAp;
+  }
 
   /// Lowest positive link rate in the instance — the "basic rate" used when
   /// multi-rate multicast is disabled (802.11 standard behaviour).
   double basic_rate() const { return basic_rate_; }
 
-  /// Distinct link-rate values that can occur in this instance, ascending.
-  /// Geometric instances list every rate of the build table (some may have
-  /// zero occurrences); explicit instances list the rates actually present.
+  /// Distinct link-rate values that can occur in this instance, ascending;
+  /// each link stores its rate as an index into this list, so there are at
+  /// most 256. Geometric instances list every rate of the build table (some
+  /// may have zero occurrences); explicit instances list the rates actually
+  /// present.
   const std::vector<double>& rate_levels() const { return rate_levels_; }
   /// Number of (ap, user) links carrying rate_levels()[i].
   const std::vector<int64_t>& rate_level_counts() const { return rate_level_count_; }
@@ -220,10 +240,15 @@ class Scenario {
   Scenario apply_delta(const ScenarioDelta& delta, std::vector<int>* dirty_aps) const;
 
  private:
+  /// The row writer (scenario.cpp): the rows of one run of consecutive
+  /// users, each ordered strongest first from the candidates it was handed.
+  struct RowWriter;
+
   Scenario() = default;
 
   void validate_core() const;
   void build_geometric_rows(util::ThreadPool* pool);
+  void set_rows(std::vector<RowWriter>& runs);
   void build_transpose();
   void finalize_stats();
 
@@ -237,18 +262,15 @@ class Scenario {
 
   // Primary CSR: per-user candidate rows, strongest-first (by distance for
   // geometric instances, by rate for explicit ones; AP id breaks ties).
-  std::vector<int64_t> user_row_;  // n_users + 1 offsets
-  std::vector<int> nbr_ap_;        // candidate AP ids
-  std::vector<double> nbr_rate_;   // positive rates, parallel to nbr_ap_
-  // Row-local positions sorted by AP id — the link_rate(a, u) search index.
-  std::vector<int> nbr_by_ap_;
+  std::vector<int64_t> user_row_;    // n_users + 1 offsets
+  std::vector<int> nbr_ap_;          // candidate AP ids
+  std::vector<uint8_t> nbr_level_;   // rate_levels_ index, parallel to nbr_ap_
 
-  // Transpose CSR: per-AP member rows, ascending user id, rates paired.
+  // Transpose CSR: per-AP member rows, ascending user id, levels paired.
   std::vector<int64_t> ap_row_;  // n_aps + 1 offsets
   std::vector<int> ap_user_;
-  std::vector<double> ap_user_rate_;
+  std::vector<uint8_t> ap_user_level_;
 
-  std::vector<int> strongest_ap_;
   std::vector<double> rate_levels_;        // ascending distinct rates
   std::vector<int64_t> rate_level_count_;  // links per level
 

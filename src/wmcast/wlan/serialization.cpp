@@ -57,7 +57,7 @@ std::string to_text(const Scenario& sc, const RateTable& table) {
     out << "sparse_links\n";
     for (int u = 0; u < sc.n_users(); ++u) {
       const IndexSpan aps = sc.aps_of_user(u);
-      const double* rates = sc.rates_of_user(u);
+      const RateSpan rates = sc.rates_of_user(u);
       out << aps.size();
       for (size_t i = 0; i < aps.size(); ++i) out << ' ' << aps[i] << ' ' << rates[i];
       out << "\n";

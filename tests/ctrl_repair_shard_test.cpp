@@ -97,7 +97,7 @@ TEST(LoadModel, ProbesMatchPhysicalAddRemove) {
     const int cur = c.user_ap[static_cast<size_t>(u)];
     const int s = sc.user_session(u);
     const wlan::IndexSpan heard = sc.aps_of_user(u);
-    const double* rates = sc.rates_of_user(u);
+    const wlan::RateSpan rates = sc.rates_of_user(u);
     for (size_t i = 0; i < heard.size(); ++i) {
       const int a = heard[i];
       if (a == cur) {

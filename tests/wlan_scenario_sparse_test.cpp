@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "wmcast/assoc/centralized.hpp"
@@ -83,7 +86,7 @@ TEST(SparseScenarioTest, MatchesDenseReferenceOnRandomInstances) {
     const auto dense = Scenario::from_geometry_dense(
         in.ap_pos, in.user_pos, in.user_session, in.session_rates, table);
     expect_identical(sparse, dense);
-    // link_rate's binary search against the dense pairwise answer.
+    // link_rate's row scan against the dense pairwise answer.
     for (int a = 0; a < sparse.n_aps(); ++a) {
       for (int u = 0; u < sparse.n_users(); ++u) {
         EXPECT_EQ(sparse.link_rate(a, u),
@@ -260,6 +263,81 @@ TEST(SparseScenarioTest, MemoryBytesScalesWithLinksNotAps) {
   // cells — far below the dense matrix's 200 users * 36 APs * 8 bytes.
   EXPECT_LT(large.memory_bytes() - small.memory_bytes(),
             static_cast<size_t>(200) * 36 * 8 / 2);
+}
+
+TEST(SparseScenarioTest, MemoryBytesIsTenBytesPerLink) {
+  // A link is a 4-byte AP id and a one-byte rate level in its user's row,
+  // and a 4-byte user id and the same byte in its AP's transpose row. The
+  // rest is per user (session, row offset, position), per AP (transpose
+  // offset, position), per session (stream rate) and per level (rate and
+  // link count).
+  const RateTable table = RateTable::ieee80211a();
+  util::Rng rng(907);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(trial);
+    const RandomInstance in = draw(rng);
+    const auto sc = Scenario::from_geometry(in.ap_pos, in.user_pos, in.user_session,
+                                            in.session_rates, table);
+    const auto users = static_cast<size_t>(sc.n_users());
+    const auto aps = static_cast<size_t>(sc.n_aps());
+    const size_t per_user =
+        users * (sizeof(int) + sizeof(int64_t) + sizeof(Point)) + sizeof(int64_t);
+    const size_t per_ap = aps * (sizeof(int64_t) + sizeof(Point)) + sizeof(int64_t);
+    const size_t per_session = static_cast<size_t>(sc.n_sessions()) * sizeof(double);
+    const size_t per_level = sc.rate_levels().size() * (sizeof(double) + sizeof(int64_t));
+    EXPECT_EQ(sc.memory_bytes() - per_user - per_ap - per_session - per_level,
+              10 * static_cast<size_t>(sc.n_links()));
+  }
+}
+
+TEST(SparseScenarioTest, RateTableOfMoreThan256StepsThrows) {
+  // A link stores its rate level in one byte: a 256-step table fits.
+  const auto staircase = [](int n) {
+    std::vector<RateStep> steps;
+    for (int i = 0; i < n; ++i) steps.push_back({1.0 + n - i, 1.0 + i});
+    return RateTable(std::move(steps));
+  };
+  const std::vector<Point> aps = {{0.0, 0.0}};
+  const std::vector<Point> users = {{100.5, 0.0}, {300.0, 0.0}};
+  const RateTable fits = staircase(256);
+  const auto sc = Scenario::from_geometry(aps, users, {0, 0}, {1.0}, fits);
+  EXPECT_EQ(sc.rate_levels().size(), 256u);
+  EXPECT_EQ(sc.link_rate(0, 0), fits.rate_for_distance(100.5));
+  EXPECT_EQ(sc.link_rate(0, 1), 0.0);
+  EXPECT_THROW(Scenario::from_geometry(aps, users, {0, 0}, {1.0}, staircase(257)),
+               std::invalid_argument);
+}
+
+TEST(SparseScenarioTest, ExtremeExtentThrowsInsteadOfExhaustingMemory) {
+  // Two points 1e7 m apart on each axis span 50,001^2 cells of one radio
+  // range: about 10 GB of cell offsets, far past the grid's cell cap.
+  const RateTable table = RateTable::ieee80211a();
+  const std::vector<Point> aps = {{0.0, 0.0}, {1e7, 1e7}};
+  EXPECT_THROW(GridIndex(aps, table.range_m()), std::invalid_argument);
+  EXPECT_THROW(Scenario::from_geometry(aps, {{0.0, 0.0}}, {0}, {1.0}, table),
+               std::invalid_argument);
+  // Past INT_MAX cells the counts no longer fit an int at all.
+  EXPECT_THROW(GridIndex({{0.0, 0.0}, {1e12, 1e12}}, table.range_m()),
+               std::invalid_argument);
+  // A far query point against a small grid clamps to the edge cells, and a
+  // NaN one to cell 0; neither reads outside the grid.
+  const GridIndex grid({{0.0, 0.0}, {500.0, 500.0}}, table.range_m());
+  int found = 0;
+  grid.for_each_candidate({1e15, -1e15}, table.range_m(), [&](int) { ++found; });
+  EXPECT_EQ(found, 0);
+  EXPECT_EQ(grid.cell_key({1e15, 1e15}), grid.cell_key({500.0, 500.0}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(grid.cell_key({nan, nan}), grid.cell_key({0.0, 0.0}));
+  // A user at a non-finite position is rejected by every geometric build,
+  // as apply_delta rejects a move to one.
+  const std::vector<Point> two_aps = {{0.0, 0.0}, {300.0, 300.0}};
+  for (const Point bad : {Point{nan, 10.0}, Point{5.0, HUGE_VAL}}) {
+    EXPECT_THROW(Scenario::from_geometry(two_aps, {bad, {5.0, 5.0}}, {0, 0}, {1.0}, table),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        Scenario::from_geometry_dense(two_aps, {bad, {5.0, 5.0}}, {0, 0}, {1.0}, table),
+        std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -160,6 +160,62 @@ TEST(Serialization, HugeCountsRejected) {
                std::invalid_argument);
 }
 
+// A 16-AP x 17-user explicit matrix, every link positive, with exactly
+// `n_distinct` distinct rates (multiples of 0.25 Mbps).
+std::vector<std::vector<double>> distinct_rate_matrix(int n_distinct) {
+  std::vector<std::vector<double>> link(16, std::vector<double>(17));
+  int i = 0;
+  for (auto& row : link) {
+    for (auto& r : row) r = 1.0 + 0.25 * (i++ % n_distinct);
+  }
+  return link;
+}
+
+TEST(Serialization, ExplicitScenarioHoldsAtMost256DistinctRates) {
+  // A link stores its rate as a one-byte level: 256 distinct rates fit.
+  const auto link = distinct_rate_matrix(256);
+  const Scenario sc =
+      Scenario::from_link_rates(link, std::vector<int>(17, 0), {1.0}, 0.9);
+  ASSERT_EQ(sc.rate_levels().size(), 256u);
+  for (int a = 0; a < sc.n_aps(); ++a) {
+    for (int u = 0; u < sc.n_users(); ++u) {
+      EXPECT_EQ(sc.link_rate(a, u), link[static_cast<size_t>(a)][static_cast<size_t>(u)])
+          << a << "," << u;
+    }
+  }
+  const std::string text = to_text(sc);
+  EXPECT_EQ(to_text(from_text(text)), text);
+
+  // One more distinct rate is rejected, built directly or parsed from a v2
+  // file.
+  const auto over = distinct_rate_matrix(257);
+  EXPECT_THROW(Scenario::from_link_rates(over, std::vector<int>(17, 0), {1.0}, 0.9),
+               std::invalid_argument);
+  std::ostringstream v2;
+  v2.precision(17);
+  v2 << "wmcast-scenario v2\nbudget 0.9\nsessions 1\nsession_rates 1\nusers 17\n"
+     << "user_sessions";
+  for (int u = 0; u < 17; ++u) v2 << " 0";
+  v2 << "\ngeometry 0\naps 16\nsparse_links\n";
+  for (int u = 0; u < 17; ++u) {
+    v2 << 16;
+    for (int a = 0; a < 16; ++a) {
+      v2 << ' ' << a << ' ' << over[static_cast<size_t>(a)][static_cast<size_t>(u)];
+    }
+    v2 << "\n";
+  }
+  EXPECT_THROW(from_text(v2.str()), std::invalid_argument);
+}
+
+TEST(Serialization, GeometricScenarioOverAnExtremeExtentThrows) {
+  // APs 1e12 m apart on each axis would need ~2.5e19 grid cells.
+  const std::string text =
+      "wmcast-scenario v2\nbudget 0.9\nsessions 1\nsession_rates 1\nusers 1\n"
+      "user_sessions 0\ngeometry 1\nap_positions 2\n0 0\n1e12 1e12\n"
+      "user_positions\n0 0\nrate_table 1\n6 200\n";
+  EXPECT_THROW(from_text(text), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace wmcast::wlan
 
