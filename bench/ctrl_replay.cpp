@@ -157,14 +157,12 @@ int main(int argc, char** argv) {
   // The cold path evolves an identical state and re-solves from scratch every
   // epoch with the same centralized algorithm.
   auto cold_state = ctrl::NetworkState::from_scenario(sc);
-  std::vector<int> cold_row_slot;
   util::Rng cold_rng(seed + 3);
   assoc::SolveOptions cold_opt;
   cold_opt.multi_rate = cfg.multi_rate;
-  auto cold_sc = cold_state.to_scenario(&cold_row_slot);
+  auto cold_sc = cold_state.to_scenario();
   auto cold_sol = assoc::solve_by_name(cfg.full_solver, cold_sc, cold_rng, cold_opt);
-  auto cold_slot_ap =
-      ctrl::slot_association(cold_sol.assoc, cold_row_slot, cold_state.n_slots());
+  auto cold_slot_ap = cold_sol.assoc.user_ap;  // user s of the scenario is slot s
 
   util::RunningStat inc_signal, cold_signal, inc_total, cold_total;
   util::RunningStat inc_load, cold_load, load_gap_pct, inc_time, cold_time;
@@ -178,12 +176,10 @@ int main(int argc, char** argv) {
 
     const auto c0 = std::chrono::steady_clock::now();
     for (const auto& ev : evs) cold_state.apply(ev);
-    cold_sc = cold_state.to_scenario(&cold_row_slot);
+    cold_sc = cold_state.to_scenario();
     cold_sol = assoc::solve_by_name(cfg.full_solver, cold_sc, cold_rng, cold_opt);
-    auto next_cold =
-        ctrl::slot_association(cold_sol.assoc, cold_row_slot, cold_state.n_slots());
-    const SlotDelta cold_d = slot_delta(cold_slot_ap, next_cold);
-    cold_slot_ap = std::move(next_cold);
+    const SlotDelta cold_d = slot_delta(cold_slot_ap, cold_sol.assoc.user_ap);
+    cold_slot_ap = cold_sol.assoc.user_ap;
     const double cold_secs = seconds_since(c0);
 
     inc_signal.add(rep.handoffs);

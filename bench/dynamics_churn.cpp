@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   util::Rng trace_rng(seed + 3);
   const auto trace = ctrl::generate_churn_trace(state, tp, trace_rng);
 
-  // Initial associations (slot space; row == slot while nobody has churned).
+  // Initial associations (slot space: user s of every scenario is slot s).
   util::Rng warm_rng(seed + 1);
   auto warm = assoc::distributed_mla(sc0, warm_rng);
   auto cold = assoc::centralized_mla(sc0);
@@ -110,17 +110,17 @@ int main(int argc, char** argv) {
                  "warm_rounds"});
   for (int e = 0; e < trace.n_epochs(); ++e) {
     for (const auto& ev : trace.epochs[static_cast<size_t>(e)]) state.apply(ev);
-    std::vector<int> row_slot;
-    const auto sc = state.to_scenario(&row_slot);
+    const auto sc = state.to_scenario();
 
     // Warm: carry every still-valid association, resume the distributed engine.
+    // The test reads the scenario row: an absent slot keeps its last
+    // position, but its row is empty.
     wlan::Association carried = wlan::Association::none(sc.n_users());
-    for (int r = 0; r < sc.n_users(); ++r) {
-      const int s = row_slot[static_cast<size_t>(r)];
+    for (int s = 0; s < sc.n_users(); ++s) {
       const int old = s < static_cast<int>(warm_slot.size()) ? warm_slot[static_cast<size_t>(s)]
                                                              : wlan::kNoAp;
-      if (old != wlan::kNoAp && state.link_rate(old, s) > 0.0) {
-        carried.user_ap[static_cast<size_t>(r)] = old;
+      if (old != wlan::kNoAp && sc.in_range(old, s)) {
+        carried.user_ap[static_cast<size_t>(s)] = old;
       }
     }
     assoc::DistributedParams dp;
@@ -128,12 +128,12 @@ int main(int argc, char** argv) {
     util::Rng r1 = rng.fork();
     auto resumed = assoc::distributed_associate(sc, r1, dp);
     resumed.algorithm = "MLA-D(warm)";
-    const auto new_warm = ctrl::slot_association(resumed.assoc, row_slot, state.n_slots());
+    const std::vector<int>& new_warm = resumed.assoc.user_ap;
     const auto wd = slot_delta(warm_slot, new_warm);
 
     // Cold: centralized re-solve from scratch.
     const auto fresh = assoc::centralized_mla(sc);
-    const auto new_cold = ctrl::slot_association(fresh.assoc, row_slot, state.n_slots());
+    const std::vector<int>& new_cold = fresh.assoc.user_ap;
     const auto cd = slot_delta(cold_slot, new_cold);
 
     warm_load.add(resumed.loads.total_load);

@@ -260,9 +260,8 @@ std::vector<OracleResult> check_controller_invariants(
   // recomputation from the committed association. Assumes the controller runs
   // the default multi-rate model (true for every chaos campaign config).
   if (assoc_ok) {
-    const auto fresh = wlan::compute_loads(
-        c.scenario(), ctrl::compact_association(slot_ap, c.row_slot()),
-        /*multi_rate=*/true);
+    const auto fresh = wlan::compute_loads(c.scenario(), wlan::Association{slot_ap},
+                                           /*multi_rate=*/true);
     const auto& live = c.loads();
     if (live.ap_load != fresh.ap_load || live.total_load != fresh.total_load ||
         live.max_load != fresh.max_load ||
@@ -384,7 +383,7 @@ ReplayCheckResult check_differential_replay(const wlan::Scenario& sc,
   // controller's own fallback ladder bounds drift against its (possibly
   // stale) baseline, so allow the configured threshold plus slack for
   // baseline staleness between refreshes.
-  if (!out.diverged && serial.scenario().n_users() > 0) {
+  if (!out.diverged && serial.state().n_active() > 0) {
     util::Rng rng(cfg.seed);
     assoc::SolveOptions opt;
     opt.multi_rate = cfg.multi_rate;
@@ -745,12 +744,8 @@ std::string kconn_cold_diff(const ctrl::AssociationController& c,
   kp.k = c.k();
   kp.multi_rate = cfg.multi_rate;
   kp.enforce_budget = true;  // as the controller does
-  wlan::Association base = wlan::Association::none(sc.n_users());
-  for (int r = 0; r < sc.n_users(); ++r) {
-    base.user_ap[static_cast<size_t>(r)] =
-        c.slot_ap()[static_cast<size_t>(c.row_slot()[static_cast<size_t>(r)])];
-  }
-  const auto cold = assoc::augment_to_k(sc, base, c.loads(), kp);
+  const auto cold =
+      assoc::augment_to_k(sc, wlan::Association{c.slot_ap()}, c.loads(), kp);
   if (!(cold == c.multi_assoc())) {
     return "maintained served-sets differ from a cold augment_to_k re-derivation";
   }

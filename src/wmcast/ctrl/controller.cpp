@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <map>
+#include <numeric>
 #include <optional>
 
 #include "wmcast/assoc/local_search.hpp"
@@ -25,7 +25,7 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
                                              ControllerConfig cfg)
     : cfg_(std::move(cfg)),
       state_(NetworkState::from_scenario(initial)),
-      compact_sc_(initial),
+      epoch_sc_(initial),
       rng_(cfg_.seed),
       pool_(util::ThreadPool::resolve_threads(cfg_.threads)) {
   util::require(assoc::is_algorithm(cfg_.full_solver),
@@ -33,11 +33,15 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
   util::require(cfg_.degradation_threshold >= 0.0,
                 "AssociationController: negative degradation threshold");
   util::require(cfg_.k >= 1, "AssociationController: k must be >= 1");
-  compact_sc_ = state_.to_scenario(&row_slot_);
-  const auto sol = solve_full(compact_sc_);
-  slot_ap_ = slot_association(sol.assoc, row_slot_, state_.n_slots());
-  loads_ = sol.loads;
-  baseline_load_ = sol.loads.total_load;
+  epoch_sc_ = state_.to_scenario();
+  auto sol = state_.n_active() > 0
+                 ? solve_full(epoch_sc_)
+                 : assoc::make_solution(cfg_.full_solver, epoch_sc_,
+                                        wlan::Association::none(epoch_sc_.n_users()),
+                                        cfg_.multi_rate);
+  assoc_ = std::move(sol.assoc);
+  loads_ = std::move(sol.loads);
+  baseline_load_ = loads_.total_load;
   tele_.baseline_refreshes.inc();
   tele_.users_present.set(state_.n_slots());
   tele_.users_subscribed.set(state_.n_active());
@@ -48,8 +52,15 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
   refresh_multi(nullptr);
 }
 
+std::vector<int> AssociationController::row_slot() const {
+  std::vector<int> identity(static_cast<size_t>(state_.n_slots()));
+  std::iota(identity.begin(), identity.end(), 0);
+  return identity;
+}
+
 void AssociationController::kconn_mark_dirty(const NetworkState& next,
-                                             const std::vector<int>& new_slot_ap) {
+                                             const wlan::Scenario& sc,
+                                             const wlan::Association& cand) {
   if (cfg_.k < 2) return;
   // Clear the previous epoch's marks (O(previous dirt), never O(network)).
   for (const int a : kconn_dirty_aps_) kconn_ap_mark_[static_cast<size_t>(a)] = 0;
@@ -126,24 +137,28 @@ void AssociationController::kconn_mark_dirty(const NetworkState& next,
     }
   };
 
+  // A slot's links are its scenario row: row s of epoch_sc_ before the
+  // epoch, row s of `sc` after it (empty for a slot that wants no service).
+  const auto for_each_link = [](const wlan::Scenario& row_sc, int s, auto&& fn) {
+    const wlan::IndexSpan aps = row_sc.aps_of_user(s);
+    const wlan::RateSpan rates = row_sc.rates_of_user(s);
+    for (size_t i = 0; i < aps.size(); ++i) fn(aps[i], rates[i]);
+  };
+
   std::vector<std::pair<int, double>> old_links;  // (ap, rate) before a move
   for (int s = 0; s < next.n_slots(); ++s) {
     const UserSlot before = s < state_.n_slots() ? state_.slot(s) : UserSlot{};
     const UserSlot& after = next.slot(s);
-    const int old_ap = static_cast<size_t>(s) < slot_ap_.size()
-                           ? slot_ap_[static_cast<size_t>(s)]
-                           : wlan::kNoAp;
-    const int new_ap = static_cast<size_t>(s) < new_slot_ap.size()
-                           ? new_slot_ap[static_cast<size_t>(s)]
-                           : wlan::kNoAp;
+    const int old_ap = s < assoc_.n_users() ? assoc_.ap_of(s) : wlan::kNoAp;
+    const int new_ap = cand.ap_of(s);
     // Pool membership = base-served: the slot contributes to the
     // potential-adopter min of every heard AP iff it is served in the base.
     const bool old_pool = before.wants_service() && old_ap != wlan::kNoAp;
     const bool new_pool = after.wants_service() && new_ap != wlan::kNoAp;
     if (!(before == after)) {
       // Invisible on both sides (e.g. a rejected admission, or a join+leave
-      // coalescing to nothing): the projection never sees the slot, so the
-      // overlay cannot depend on it. No dirt — this is what keeps
+      // coalescing to nothing): the slot's row is empty in both projections,
+      // so the overlay cannot depend on it. No dirt — this is what keeps
       // quiescent-equivalent epochs on the cached overlay.
       if (!before.wants_service() && !after.wants_service()) continue;
       mark_slot(s);
@@ -163,13 +178,9 @@ void AssociationController::kconn_mark_dirty(const NetworkState& next,
         // small.
         const int sess = before.session;
         old_links.clear();
-        state_.for_each_ap_near(before.pos, [&](int a) {
-          const double r = state_.link_rate(a, s);
-          if (r > 0.0) old_links.emplace_back(a, r);
-        });
-        next.for_each_ap_near(after.pos, [&](int a) {
-          const double rn = next.link_rate(a, s);
-          if (rn <= 0.0) return;
+        for_each_link(epoch_sc_, s,
+                      [&](int a, double r) { old_links.emplace_back(a, r); });
+        for_each_link(sc, s, [&](int a, double rn) {
           for (auto& [oa, orate] : old_links) {
             if (oa == a) {
               if (orate != rn) {
@@ -202,17 +213,13 @@ void AssociationController::kconn_mark_dirty(const NetworkState& next,
       // slot's base-served status or session: every AP that could hear it
       // before or after has its potential-adopter mins moved.
       if (before.wants_service()) {
-        state_.for_each_ap_near(before.pos, [&](int a) {
-          const double r = state_.link_rate(a, s);
-          if (r <= 0.0) return;
+        for_each_link(epoch_sc_, s, [&](int a, double r) {
           mark_ap(a);
           if (old_pool) pool_departure(a, before.session, r);
         });
       }
       if (after.wants_service()) {
-        next.for_each_ap_near(after.pos, [&](int a) {
-          const double r = next.link_rate(a, s);
-          if (r <= 0.0) return;
+        for_each_link(sc, s, [&](int a, double r) {
           mark_ap(a);
           if (new_pool) pool_arrival(a, after.session, r);
         });
@@ -234,10 +241,8 @@ void AssociationController::kconn_mark_dirty(const NetworkState& next,
     } else {
       // Served <-> unserved flips the slot's base-served status, which feeds
       // the potential-adopter min of EVERY heard AP's silent streams. The
-      // record did not change, so old and new link rates coincide.
-      state_.for_each_ap_near(before.pos, [&](int a) {
-        const double r = state_.link_rate(a, s);
-        if (r <= 0.0) return;
+      // record did not change, so the old and new rows coincide.
+      for_each_link(sc, s, [&](int a, double r) {
         mark_ap(a);
         if (old_ap != wlan::kNoAp) {
           pool_departure(a, before.session, r);
@@ -263,8 +268,8 @@ void AssociationController::refresh_multi(EpochReport* rep) {
                   .count();
     }
   } timer{&kconn_seconds_};
-  const int n = compact_sc_.n_users();
-  const int n_aps = compact_sc_.n_aps();
+  const int n = epoch_sc_.n_users();
+  const int n_aps = epoch_sc_.n_aps();
 
   // kconn-quiescent epoch: nothing the overlay reads moved (no visible record
   // change, no committed AP change, no rate change), so the cached overlay,
@@ -272,6 +277,9 @@ void AssociationController::refresh_multi(EpochReport* rep) {
   // admissions and other invisible-slot churn.
   if (multi_valid_ && !kconn_rate_changed_ && kconn_dirty_aps_.empty() &&
       kconn_dirty_slots_.empty()) {
+    // Slots this epoch added (say, by a refused join) want no service.
+    multi_assoc_.user_aps.resize(static_cast<size_t>(n));
+    multi_loads_.effective_rate.resize(static_cast<size_t>(n), 0.0);
     if (rep != nullptr) {
       rep->multi_served_users = multi_loads_.multi_served_users;
       rep->mean_effective_rate = multi_loads_.mean_effective_rate;
@@ -284,22 +292,12 @@ void AssociationController::refresh_multi(EpochReport* rep) {
   kp.multi_rate = cfg_.multi_rate;
   kp.enforce_budget = true;  // the controller always holds APs to their budget
 
-  // The committed primary view in this epoch's row space.
-  wlan::Association row_assoc = wlan::Association::none(n);
-  for (int r = 0; r < n; ++r) {
-    row_assoc.user_ap[static_cast<size_t>(r)] =
-        slot_ap_[static_cast<size_t>(row_slot_[static_cast<size_t>(r)])];
-  }
-
   if (kconn_plan_.n_aps != n_aps ||
-      kconn_plan_.n_sessions != compact_sc_.n_sessions()) {
-    kconn_plan_.resize(n_aps, compact_sc_.n_sessions());
+      kconn_plan_.n_sessions != epoch_sc_.n_sessions()) {
+    kconn_plan_.resize(n_aps, epoch_sc_.n_sessions());
     kconn_tx_.assign(static_cast<size_t>(n_aps),
                      std::vector<double>(
-                         static_cast<size_t>(compact_sc_.n_sessions()), 0.0));
-  }
-  if (kconn_served_.size() < static_cast<size_t>(state_.n_slots())) {
-    kconn_served_.resize(static_cast<size_t>(state_.n_slots()));
+                         static_cast<size_t>(epoch_sc_.n_sessions()), 0.0));
   }
   if (kconn_lanes_.size() < static_cast<size_t>(pool_.size())) {
     kconn_lanes_.resize(static_cast<size_t>(pool_.size()));
@@ -312,21 +310,16 @@ void AssociationController::refresh_multi(EpochReport* rep) {
     // every AP. This is the reference the chaos oracle and the bench cold leg
     // compare the incremental path against.
     for (int a = 0; a < n_aps; ++a) {
-      assoc::kconn_plan_ap(compact_sc_, row_assoc, loads_, kp, a, kconn_plan_);
+      assoc::kconn_plan_ap(epoch_sc_, assoc_, loads_, kp, a, kconn_plan_);
     }
-    if (multi_assoc_.n_users() != n) multi_assoc_.user_aps.resize(static_cast<size_t>(n));
+    multi_assoc_.user_aps.resize(static_cast<size_t>(n));
     for (int r = 0; r < n; ++r) {
-      assoc::kconn_derive_user(compact_sc_, row_assoc, kconn_plan_, kp, r,
+      assoc::kconn_derive_user(epoch_sc_, assoc_, kconn_plan_, kp, r,
                                multi_assoc_.user_aps[static_cast<size_t>(r)],
                                kconn_lanes_[0]);
     }
-    for (auto& served : kconn_served_) served.clear();
-    for (int r = 0; r < n; ++r) {
-      kconn_served_[static_cast<size_t>(row_slot_[static_cast<size_t>(r)])] =
-          multi_assoc_.user_aps[static_cast<size_t>(r)];
-    }
     for (int a = 0; a < n_aps; ++a) {
-      assoc::kconn_settle_ap(compact_sc_, loads_, kp, kconn_plan_, multi_assoc_,
+      assoc::kconn_settle_ap(epoch_sc_, loads_, kp, kconn_plan_, multi_assoc_,
                              a, kconn_tx_[static_cast<size_t>(a)].data());
     }
     tele_.engine_kconn_rebuilds.inc();
@@ -348,7 +341,7 @@ void AssociationController::refresh_multi(EpochReport* rep) {
     //    primary moved have dirty slots and enter U through them). This is
     //    what keeps the blast radius of a move — which dirties every AP in
     //    hearing range — from pulling the whole neighborhood into U.
-    const int n_sessions = compact_sc_.n_sessions();
+    const int n_sessions = epoch_sc_.n_sessions();
     std::vector<int> changed_aps;
     std::vector<std::pair<int, int>> changed_pairs;  // (ap, session), ap-major
     std::vector<double> prev_advert(static_cast<size_t>(n_sessions));
@@ -360,9 +353,9 @@ void AssociationController::refresh_multi(EpochReport* rep) {
       std::copy_n(kconn_plan_.startable.begin() + static_cast<ptrdiff_t>(row),
                   n_sessions, prev_startable.begin());
       if (kconn_rescan_mark_[static_cast<size_t>(a)]) {
-        assoc::kconn_scan_pmin(compact_sc_, row_assoc, a, kconn_plan_);
+        assoc::kconn_scan_pmin(epoch_sc_, assoc_, a, kconn_plan_);
       }
-      assoc::kconn_plan_from_pmin(compact_sc_, loads_, kp, a, kconn_plan_);
+      assoc::kconn_plan_from_pmin(epoch_sc_, loads_, kp, a, kconn_plan_);
       bool changed = false;
       for (int s = 0; s < n_sessions; ++s) {
         if (kconn_plan_.advert[row + static_cast<size_t>(s)] !=
@@ -376,31 +369,23 @@ void AssociationController::refresh_multi(EpochReport* rep) {
       if (changed) changed_aps.push_back(a);
     }
 
-    // 2. The dirty rows U: rows of dirty slots, plus rows hearing a changed
-    //    (AP, session) plan entry FOR THEIR OWN SESSION (a served-set can
-    //    only contain heard APs, a user only reads its session's plan
-    //    entries, and a clean slot's heard-set did not change — so U covers
-    //    every row whose derivation inputs moved).
-    std::vector<int> slot_row(static_cast<size_t>(state_.n_slots()), -1);
-    for (int r = 0; r < n; ++r) {
-      slot_row[static_cast<size_t>(row_slot_[static_cast<size_t>(r)])] = r;
-    }
+    // 2. The dirty rows U: the dirty slots (a departed one re-derives to an
+    //    empty set), plus rows hearing a changed (AP, session) plan entry FOR
+    //    THEIR OWN SESSION (a served-set can only contain heard APs, a user
+    //    only reads its session's plan entries, and a clean slot's heard-set
+    //    did not change — so U covers every row whose derivation inputs
+    //    moved).
     std::vector<char> row_dirty(static_cast<size_t>(n), 0);
-    for (const int s : kconn_dirty_slots_) {
-      if (s < static_cast<int>(slot_row.size()) &&
-          slot_row[static_cast<size_t>(s)] >= 0) {
-        row_dirty[static_cast<size_t>(slot_row[static_cast<size_t>(s)])] = 1;
-      }
-    }
+    for (const int s : kconn_dirty_slots_) row_dirty[static_cast<size_t>(s)] = 1;
     for (size_t i = 0; i < changed_pairs.size();) {
       const int a = changed_pairs[i].first;
       size_t j = i;
       while (j < changed_pairs.size() && changed_pairs[j].first == a) ++j;
-      const wlan::IndexSpan members = compact_sc_.users_of_ap(a);
+      const wlan::IndexSpan members = epoch_sc_.users_of_ap(a);
       for (size_t m = 0; m < members.size(); ++m) {
         const int r = members[m];
         if (row_dirty[static_cast<size_t>(r)]) continue;
-        const int us = compact_sc_.user_session(r);
+        const int us = epoch_sc_.user_session(r);
         for (size_t t = i; t < j; ++t) {
           if (changed_pairs[t].second == us) {
             row_dirty[static_cast<size_t>(r)] = 1;
@@ -418,12 +403,10 @@ void AssociationController::refresh_multi(EpochReport* rep) {
     // 3. Settle set: every AP whose settle inputs can have moved — a changed
     //    plan row (changed_aps), a changed base tx / membership (the old and
     //    new primaries of dirty slots, collected by kconn_mark_dirty), or a
-    //    changed adopter contribution: the old served-sets of DEPARTED dirty
-    //    slots (whose store entries are retired here); surviving rows mark
-    //    after derivation, and only when their adopter contribution actually
-    //    moved. A dirty AP outside these sets kept its plan row, base tx,
-    //    members' links and members' serves, so its settled tx row is
-    //    unchanged by construction.
+    //    changed adopter contribution, which dirty rows mark after
+    //    derivation, and only when it actually moved. A dirty AP outside
+    //    these sets kept its plan row, base tx, members' links and members'
+    //    serves, so its settled tx row is unchanged by construction.
     std::vector<char> settle_mark(static_cast<size_t>(n_aps), 0);
     std::vector<int> settle_aps;
     const auto mark_settle = [&](int a) {
@@ -434,30 +417,20 @@ void AssociationController::refresh_multi(EpochReport* rep) {
     };
     for (const int a : changed_aps) mark_settle(a);
     for (const int a : kconn_settle_hint_) mark_settle(a);
-    for (const int s : kconn_dirty_slots_) {
-      if (static_cast<size_t>(s) >= kconn_served_.size()) continue;
-      const bool departed = s >= static_cast<int>(slot_row.size()) ||
-                            slot_row[static_cast<size_t>(s)] < 0;
-      if (!departed) continue;
-      for (const int a : kconn_served_[static_cast<size_t>(s)]) mark_settle(a);
-      kconn_served_[static_cast<size_t>(s)].clear();
-    }
 
-    // 4. Rebuild the row-space overlay: carried rows copy their slot's stored
-    //    served-set; dirty rows are re-derived in parallel over AP-connected
-    //    components (disjoint row sets -> disjoint writes, fixed task order
-    //    -> bitwise identical at any thread count; per-phase inputs are all
-    //    read-only).
-    if (multi_assoc_.n_users() != n) multi_assoc_.user_aps.resize(static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      if (!row_dirty[static_cast<size_t>(r)]) {
-        multi_assoc_.user_aps[static_cast<size_t>(r)] =
-            kconn_served_[static_cast<size_t>(row_slot_[static_cast<size_t>(r)])];
-      }
+    // 4. Re-derive the dirty rows in parallel over AP-connected components
+    //    (disjoint row sets -> disjoint writes, fixed task order -> bitwise
+    //    identical at any thread count; per-phase inputs are all read-only).
+    //    Carried rows keep their served-sets untouched; a dirty row's old
+    //    set moves aside for the comparison below.
+    multi_assoc_.user_aps.resize(static_cast<size_t>(n));
+    std::vector<std::vector<int>> old_served(dirty_rows.size());
+    for (size_t i = 0; i < dirty_rows.size(); ++i) {
+      old_served[i].swap(multi_assoc_.user_aps[static_cast<size_t>(dirty_rows[i])]);
     }
     ComponentTasks tasks;
     std::vector<int> isolated;
-    build_component_tasks(compact_sc_, dirty_rows, tasks, isolated);
+    build_component_tasks(epoch_sc_, dirty_rows, tasks, isolated);
     pool_.parallel_for(
         0, static_cast<int64_t>(tasks.order.size()),
         [&](int64_t b, int64_t e, int lane) {
@@ -465,14 +438,14 @@ void AssociationController::refresh_multi(EpochReport* rep) {
             const int t = tasks.order[static_cast<size_t>(i)];
             for (const int r : tasks.rows[static_cast<size_t>(t)]) {
               assoc::kconn_derive_user(
-                  compact_sc_, row_assoc, kconn_plan_, kp, r,
+                  epoch_sc_, assoc_, kconn_plan_, kp, r,
                   multi_assoc_.user_aps[static_cast<size_t>(r)],
                   kconn_lanes_[static_cast<size_t>(lane)]);
             }
           }
         });
     for (const int r : isolated) {
-      assoc::kconn_derive_user(compact_sc_, row_assoc, kconn_plan_, kp, r,
+      assoc::kconn_derive_user(epoch_sc_, assoc_, kconn_plan_, kp, r,
                                multi_assoc_.user_aps[static_cast<size_t>(r)],
                                kconn_lanes_[0]);
     }
@@ -482,40 +455,38 @@ void AssociationController::refresh_multi(EpochReport* rep) {
     // (and hence its link rates) untouched, contributes the same rate to the
     // same adopter mins as before. Dirty SLOTS always mark: their links may
     // have changed even where the served-set did not.
-    for (const int r : dirty_rows) {
-      const int s = row_slot_[static_cast<size_t>(r)];
-      auto& stored = kconn_served_[static_cast<size_t>(s)];
+    int repaired = 0;  // counted over the slots that want service
+    for (size_t i = 0; i < dirty_rows.size(); ++i) {
+      const int r = dirty_rows[i];
       const auto& fresh = multi_assoc_.user_aps[static_cast<size_t>(r)];
-      const bool slot_dirty = static_cast<size_t>(s) < kconn_slot_mark_.size() &&
-                              kconn_slot_mark_[static_cast<size_t>(s)] != 0;
-      if (slot_dirty || stored != fresh) {
-        for (const int a : stored) mark_settle(a);
+      if (kconn_slot_mark_[static_cast<size_t>(r)] != 0 || old_served[i] != fresh) {
+        for (const int a : old_served[i]) mark_settle(a);
         for (const int a : fresh) mark_settle(a);
-        stored = fresh;
       }
+      if (state_.slot(r).wants_service()) ++repaired;
     }
 
     // 5. Re-settle only the touched APs; every other tx row's inputs (its
     //    members, their served flags, its base tx and plan row) are unmoved.
     for (const int a : settle_aps) {
-      assoc::kconn_settle_ap(compact_sc_, loads_, kp, kconn_plan_, multi_assoc_,
+      assoc::kconn_settle_ap(epoch_sc_, loads_, kp, kconn_plan_, multi_assoc_,
                              a, kconn_tx_[static_cast<size_t>(a)].data());
     }
 
+    const int carried = state_.n_active() - repaired;
     tele_.engine_kconn_repairs.inc();
-    tele_.engine_kconn_repaired_users.inc(dirty_rows.size());
-    tele_.engine_kconn_carried_users.inc(static_cast<uint64_t>(n) -
-                                         dirty_rows.size());
+    tele_.engine_kconn_repaired_users.inc(static_cast<uint64_t>(repaired));
+    tele_.engine_kconn_carried_users.inc(static_cast<uint64_t>(carried));
     if (rep != nullptr) {
-      rep->kconn_repaired_users = static_cast<int>(dirty_rows.size());
-      rep->kconn_carried_users = n - static_cast<int>(dirty_rows.size());
+      rep->kconn_repaired_users = repaired;
+      rep->kconn_carried_users = carried;
     }
   }
 
   // 6. Fold the settled tx table into the load report in the reference
   //    accumulation order — bitwise identical to compute_multi_loads on both
   //    paths.
-  multi_loads_ = assoc::kconn_collect_loads(compact_sc_, multi_assoc_, kconn_tx_);
+  multi_loads_ = assoc::kconn_collect_loads(epoch_sc_, multi_assoc_, kconn_tx_);
   multi_valid_ = true;
   if (rep != nullptr) {
     rep->multi_served_users = multi_loads_.multi_served_users;
@@ -524,10 +495,6 @@ void AssociationController::refresh_multi(EpochReport* rep) {
 }
 
 assoc::Solution AssociationController::solve_full(const wlan::Scenario& sc) {
-  if (sc.n_users() == 0) {
-    return assoc::make_solution(cfg_.full_solver, sc, wlan::Association::none(0),
-                                cfg_.multi_rate);
-  }
   if (cfg_.full_solver != "mla-c") {
     assoc::SolveOptions opt;
     opt.multi_rate = cfg_.multi_rate;
@@ -624,7 +591,7 @@ wlan::Association AssociationController::repair(const wlan::Scenario& sc,
 
 AssociationController::ChangeCount AssociationController::count_changes(
     const std::vector<int>& old_slot_ap, const std::vector<int>& new_slot_ap,
-    const NetworkState& next) const {
+    const wlan::Scenario& sc) const {
   ChangeCount c;
   const size_t n = std::max(old_slot_ap.size(), new_slot_ap.size());
   for (size_t i = 0; i < n; ++i) {
@@ -634,9 +601,9 @@ AssociationController::ChangeCount AssociationController::count_changes(
     ++c.total;
     if (o == wlan::kNoAp) continue;  // pure join: neither forced nor voluntary
     if (w != wlan::kNoAp) ++c.handoffs;
-    const bool still_valid = static_cast<int>(i) < next.n_slots() &&
-                             next.slot(static_cast<int>(i)).wants_service() &&
-                             next.link_rate(o, static_cast<int>(i)) > 0.0;
+    // A slot that wants no service has an empty row.
+    const bool still_valid =
+        static_cast<int>(i) < sc.n_users() && sc.in_range(o, static_cast<int>(i));
     if (still_valid) {
       ++c.voluntary;
     } else {
@@ -657,48 +624,35 @@ EpochReport AssociationController::drain() {
   tele_.events_ingested.inc(events.size());
 
   // --- 1. apply the batch to a scratch state (the epoch snapshot is simply
-  // the committed state_/slot_ap_, restored by not committing). -------------
+  // the committed state_/assoc_, restored by not committing). ---------------
   NetworkState next = state_;
   std::map<int, int> slot_events;
   std::map<int, int> session_events;
   for (const auto& e : events) {
     tele_.events_by_type[static_cast<size_t>(e.type)].inc();
-    if (e.type == EventType::kUserJoin) {
-      const bool valid = e.user >= 0 && e.user <= next.n_slots() && e.session >= 0 &&
-                         e.session < next.n_sessions() &&
-                         std::isfinite(e.pos.x) && std::isfinite(e.pos.y) &&
-                         (e.user == next.n_slots() || !next.slot(e.user).present);
-      if (!valid) {
-        tele_.events_invalid.inc();
-        ++rep.events_invalid;
-        continue;
-      }
-      const bool ok = admit({e.user, e.pos, e.session});
-      next.apply(e);
-      if (ok) {
-        tele_.joins_admitted.inc();
-      } else {
-        next.apply(Event::unsubscribe(e.user));
-        tele_.joins_rejected.inc();
-        ++rep.rejected_joins;
-      }
-      tele_.events_applied.inc();
-      ++rep.events_applied;
-      ++slot_events[e.user];
-      continue;
-    }
     try {
       next.apply(e);
-      tele_.events_applied.inc();
-      ++rep.events_applied;
-      if (e.type == EventType::kRateChange) {
-        ++session_events[e.session];
-      } else {
-        ++slot_events[e.user];
-      }
     } catch (const std::invalid_argument&) {
       tele_.events_invalid.inc();
       ++rep.events_invalid;
+      continue;
+    }
+    tele_.events_applied.inc();
+    ++rep.events_applied;
+    if (e.type == EventType::kRateChange) {
+      ++session_events[e.session];
+      continue;
+    }
+    ++slot_events[e.user];
+    if (e.type != EventType::kUserJoin) continue;
+    // admit() reads only the committed state_ and loads_, so deciding after
+    // the apply gives the answer it would have given before it.
+    if (admit({e.user, e.pos, e.session})) {
+      tele_.joins_admitted.inc();
+    } else {
+      next.apply(Event::unsubscribe(e.user));
+      tele_.joins_rejected.inc();
+      ++rep.rejected_joins;
     }
   }
 
@@ -722,52 +676,49 @@ EpochReport AssociationController::drain() {
     }
   }
 
-  // --- 3. dirty region + compact projection. -------------------------------
-  const auto dirty_slots = compute_dirty_slots(state_, next, slot_ap_);
+  // --- 3. dirty region + projection. ---------------------------------------
+  const auto dirty_slots = compute_dirty_slots(state_, next, assoc_.user_ap);
   rep.dirty_users = static_cast<int>(dirty_slots.size());
   tele_.dirty_region_size.record(static_cast<double>(dirty_slots.size()));
 
-  std::vector<int> row_slot;
-  auto sc = next.to_scenario(&row_slot);
-
-  std::vector<char> dirty_mask(static_cast<size_t>(next.n_slots()), 0);
+  auto sc = next.to_scenario();
+  const int n = sc.n_users();  // one row per slot
+  std::vector<char> dirty_mask(static_cast<size_t>(n), 0);
   for (const int s : dirty_slots) dirty_mask[static_cast<size_t>(s)] = 1;
 
   // Sticky carry: everyone whose old AP is still valid keeps it — including
   // dirty users, whose placement is *reconsidered* (by the restricted polish)
   // rather than discarded. Re-placing the dirty region from scratch would
   // re-associate users whose small move changed nothing, defeating the
-  // signaling advantage the controller exists for.
-  const int n_rows = sc.n_users();
-  auto carried = wlan::Association::none(n_rows);
+  // signaling advantage the controller exists for. Slots that want no
+  // service stay unplaced and never move.
+  auto carried = wlan::Association::none(n);
   std::vector<int> dirty_rows;
-  for (int r = 0; r < n_rows; ++r) {
-    const int slot = row_slot[static_cast<size_t>(r)];
-    const int old = static_cast<size_t>(slot) < slot_ap_.size()
-                        ? slot_ap_[static_cast<size_t>(slot)]
-                        : wlan::kNoAp;
-    const bool valid = old != wlan::kNoAp && sc.in_range(old, r);
-    if (valid) carried.user_ap[static_cast<size_t>(r)] = old;
-    if (dirty_mask[static_cast<size_t>(slot)] || !valid) dirty_rows.push_back(r);
+  int n_active = 0;
+  for (int s = 0; s < n; ++s) {
+    if (!next.slot(s).wants_service()) continue;
+    ++n_active;
+    const int old = s < assoc_.n_users() ? assoc_.ap_of(s) : wlan::kNoAp;
+    const bool valid = old != wlan::kNoAp && sc.in_range(old, s);
+    if (valid) carried.user_ap[static_cast<size_t>(s)] = old;
+    if (dirty_mask[static_cast<size_t>(s)] || !valid) dirty_rows.push_back(s);
   }
 
   // --- 4. incremental repair. ----------------------------------------------
   auto cand = repair(sc, carried, dirty_rows, /*polish=*/true);
   tele_.incremental_repairs.inc();
-  auto cand_slot = slot_association(cand, row_slot, next.n_slots());
-  auto cc = count_changes(slot_ap_, cand_slot, next);
+  auto cc = count_changes(assoc_.user_ap, cand.user_ap, sc);
 
   // --- 5. bounded signaling: roll back to the minimal forced repair. -------
   if (cfg_.max_reassoc_per_epoch >= 0 && cc.voluntary > cfg_.max_reassoc_per_epoch) {
     rep.rolled_back = true;
     tele_.rollbacks.inc();
     std::vector<int> forced_rows;
-    for (int r = 0; r < n_rows; ++r) {
-      if (carried.ap_of(r) == wlan::kNoAp) forced_rows.push_back(r);
+    for (const int s : dirty_rows) {
+      if (carried.ap_of(s) == wlan::kNoAp) forced_rows.push_back(s);
     }
     cand = repair(sc, carried, forced_rows, /*polish=*/false);
-    cand_slot = slot_association(cand, row_slot, next.n_slots());
-    cc = count_changes(slot_ap_, cand_slot, next);
+    cc = count_changes(assoc_.user_ap, cand.user_ap, sc);
   }
 
   auto cand_loads = wlan::compute_loads(sc, cand, cfg_.multi_rate);
@@ -776,7 +727,7 @@ EpochReport AssociationController::drain() {
   ++epochs_since_refresh_;
   std::optional<assoc::Solution> full;
   if (cfg_.full_refresh_epochs > 0 && epochs_since_refresh_ >= cfg_.full_refresh_epochs &&
-      sc.n_users() > 0) {
+      n_active > 0) {
     full = solve_full(sc);
     baseline_load_ = full->loads.total_load;
     epochs_since_refresh_ = 0;
@@ -787,7 +738,7 @@ EpochReport AssociationController::drain() {
   const bool degraded =
       baseline_load_ > 0.0 &&
       cand_loads.total_load > baseline_load_ * (1.0 + cfg_.degradation_threshold);
-  if (sc.n_users() > 0 && (no_baseline || degraded) && !rep.rolled_back) {
+  if (n_active > 0 && (no_baseline || degraded) && !rep.rolled_back) {
     if (!full) {
       full = solve_full(sc);
       baseline_load_ = full->loads.total_load;
@@ -811,8 +762,7 @@ EpochReport AssociationController::drain() {
     if (still_degraded) {
       lp.target_total = baseline_load_ * (1.0 + 0.5 * cfg_.degradation_threshold);
       auto warm = assoc::local_search(sc, cand, lp, nullptr, &repair_ws_);
-      auto warm_slot = slot_association(warm.assoc, row_slot, next.n_slots());
-      auto wc = count_changes(slot_ap_, warm_slot, next);
+      auto wc = count_changes(assoc_.user_ap, warm.assoc.user_ap, sc);
       const bool warm_within_cap = cfg_.max_reassoc_per_epoch < 0 ||
                                    wc.voluntary <= cfg_.max_reassoc_per_epoch;
       // Good enough = back inside the degradation band, or matching the cold
@@ -824,19 +774,16 @@ EpochReport AssociationController::drain() {
       if (warm_within_cap && warm.loads.total_load < cand_loads.total_load &&
           warm_good) {
         cand = std::move(warm.assoc);
-        cand_slot = std::move(warm_slot);
         cand_loads = std::move(warm.loads);
         cc = wc;
         tele_.warm_escalations.inc();
       } else {
         // Step 2: adopt the cold full solution outright.
-        const auto full_slot = slot_association(full->assoc, row_slot, next.n_slots());
-        const auto fc = count_changes(slot_ap_, full_slot, next);
+        const auto fc = count_changes(assoc_.user_ap, full->assoc.user_ap, sc);
         const bool within_cap = cfg_.max_reassoc_per_epoch < 0 ||
                                 fc.voluntary <= cfg_.max_reassoc_per_epoch;
         if (within_cap && full->loads.total_load < cand_loads.total_load) {
           cand = full->assoc;
-          cand_slot = full_slot;
           cand_loads = full->loads;
           cc = fc;
           rep.used_full_solve = true;
@@ -847,17 +794,16 @@ EpochReport AssociationController::drain() {
       }
     }
   }
-  if (sc.n_users() == 0) baseline_load_ = 0.0;
+  if (n_active == 0) baseline_load_ = 0.0;
 
   // --- 7. commit. ----------------------------------------------------------
   // Translate the epoch's deltas into kconn dirty marks first: the marking
   // needs the pre-commit state/projection (old heard-sets) alongside the
   // final candidate association.
-  kconn_mark_dirty(next, cand_slot);
+  kconn_mark_dirty(next, sc, cand);
   state_ = std::move(next);
-  slot_ap_ = std::move(cand_slot);
-  compact_sc_ = std::move(sc);
-  row_slot_ = std::move(row_slot);
+  assoc_ = std::move(cand);
+  epoch_sc_ = std::move(sc);
   loads_ = std::move(cand_loads);
   ++epoch_index_;
 
@@ -878,7 +824,7 @@ EpochReport AssociationController::drain() {
   rep.repair_shards = last_repair_stats_.shards;
   rep.repair_imbalance = last_repair_stats_.imbalance;
   rep.users_present = present;
-  rep.users_subscribed = state_.n_active();
+  rep.users_subscribed = n_active;
   rep.users_served = loads_.satisfied_users;
   rep.total_load = loads_.total_load;
   rep.max_load = loads_.max_load;

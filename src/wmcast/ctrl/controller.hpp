@@ -22,8 +22,8 @@
 //                   baseline, fall back to a full centralized re-solve,
 //                   itself subject to the signaling cap.
 //
-// A full solve (baseline refresh or fallback) runs on the epoch's compact
-// scenario and nothing else: MLA-C is assoc::centralized_mla on an engine
+// A full solve (baseline refresh or fallback) runs on the epoch's scenario
+// and nothing else: MLA-C is assoc::centralized_mla on an engine
 // context rebuilt right before the solve, the other solvers go through
 // assoc/registry. The baseline is therefore a pure function of the current
 // network — the answer `wmcast_cli solve --algorithm=mla-c` gives for that
@@ -176,17 +176,20 @@ class AssociationController {
   /// empty queue (a quiescent epoch: nothing dirty, nothing changes).
   EpochReport drain();
 
-  // State of the last committed epoch.
+  // State of the last committed epoch. User s of scenario() is slot s, and
+  // slot_ap() is the association indexed by slot (ctrl/state.hpp).
   const NetworkState& state() const { return state_; }
-  const std::vector<int>& slot_ap() const { return slot_ap_; }
-  const wlan::Scenario& scenario() const { return compact_sc_; }
-  const std::vector<int>& row_slot() const { return row_slot_; }
+  const std::vector<int>& slot_ap() const { return assoc_.user_ap; }
+  const wlan::Scenario& scenario() const { return epoch_sc_; }
+  /// The identity map over the slots; perfbench/ reads it.
+  std::vector<int> row_slot() const;
   const wlan::LoadReport& loads() const { return loads_; }
   double baseline_load() const { return baseline_load_; }
   int epochs() const { return epoch_index_; }
 
   /// k-connectivity overlay of the last committed epoch (ControllerConfig::k
-  /// >= 2; empty served-sets at k == 1). Row-indexed like scenario().
+  /// >= 2; empty served-sets at k == 1). Indexed by slot, like slot_ap(); a
+  /// slot that does not want service has an empty served-set.
   const wlan::MultiAssociation& multi_assoc() const { return multi_assoc_; }
   const wlan::MultiLoadReport& multi_loads() const { return multi_loads_; }
   int k() const { return cfg_.k; }
@@ -209,37 +212,37 @@ class AssociationController {
   };
 
   bool admit(const JoinRequest& req) const;
+  /// Callers guarantee that some slot wants service.
   assoc::Solution solve_full(const wlan::Scenario& sc);
   wlan::Association repair(const wlan::Scenario& sc, const wlan::Association& carried,
                            const std::vector<int>& movable_rows, bool polish);
   ChangeCount count_changes(const std::vector<int>& old_slot_ap,
                             const std::vector<int>& new_slot_ap,
-                            const NetworkState& next) const;
+                            const wlan::Scenario& sc) const;
   /// Re-derives the k-connectivity overlay from the committed association
   /// (no-op at k == 1; kconn-quiescent epochs reuse the cached overlay).
   /// Called with null from the constructor, with the epoch report from
   /// drain(). Cold path (first derivation, session-rate change, or
   /// cfg_.kconn_incremental off): serial full re-derivation. Incremental
   /// path: re-plan dirty APs, re-derive only dirty rows (in parallel over
-  /// AP-connected components), carry every other slot's served-set from
-  /// kconn_served_, re-settle only touched APs. Both paths produce bitwise
+  /// AP-connected components), leave every other row's served-set
+  /// untouched, re-settle only touched APs. Both paths produce bitwise
   /// identical overlays and load reports.
   void refresh_multi(EpochReport* rep);
   /// Translates this epoch's applied slot deltas into kconn dirty marks
   /// (dirty APs whose stream plan may change + dirty slots whose served-set
-  /// must be re-derived). Runs during drain() while the PRE-commit state_
-  /// / compact_sc_ / row_slot_ and the post-epoch `next` / `new_slot_ap`
-  /// coexist, because old heard-sets come from the old projection. A
-  /// session-rate change sets kconn_rate_changed_ (cold rebuild: rates feed
-  /// every stream's cost and advertised floor).
-  void kconn_mark_dirty(const NetworkState& next,
-                        const std::vector<int>& new_slot_ap);
+  /// must be re-derived). Runs during drain() while the PRE-commit state_ /
+  /// epoch_sc_ / assoc_ and the post-epoch `next` / `sc` / `cand` coexist:
+  /// a slot's old links are row s of epoch_sc_, its new links row s of
+  /// `sc`. A session-rate change sets kconn_rate_changed_ (cold rebuild:
+  /// rates feed every stream's cost and advertised floor).
+  void kconn_mark_dirty(const NetworkState& next, const wlan::Scenario& sc,
+                        const wlan::Association& cand);
 
   ControllerConfig cfg_;
   NetworkState state_;
-  std::vector<int> slot_ap_;
-  wlan::Scenario compact_sc_;
-  std::vector<int> row_slot_;
+  wlan::Association assoc_;  // by slot
+  wlan::Scenario epoch_sc_;
   wlan::LoadReport loads_;
   double baseline_load_ = 0.0;
   int epochs_since_refresh_ = 0;
@@ -257,16 +260,14 @@ class AssociationController {
   RepairShardStats last_repair_stats_;
 
   // k-connectivity overlay state (cfg_.k >= 2 only). The persistent engine
-  // (DESIGN.md §16) keys its cross-epoch stores by what is stable across
-  // epochs: the stream plan and settled tx by AP, the served-sets by slot
-  // (rows are remapped every epoch; multi_assoc_'s row-space view is rebuilt
-  // O(n·k) from kconn_served_ after each repair).
+  // (DESIGN.md §16) keeps its cross-epoch stores by AP (the stream plan and
+  // settled tx) and by slot (the served-sets in multi_assoc_, whose carried
+  // rows an epoch leaves untouched).
   wlan::MultiAssociation multi_assoc_;
   wlan::MultiLoadReport multi_loads_;
   bool multi_valid_ = false;
   assoc::KconnPlan kconn_plan_;                 // [ap][session] advert/startable
   std::vector<std::vector<double>> kconn_tx_;   // settled tx, [ap][session]
-  std::vector<std::vector<int>> kconn_served_;  // served APs by SLOT (sorted)
   std::vector<int> kconn_dirty_aps_;            // this epoch's dirty APs
   std::vector<char> kconn_ap_mark_;
   std::vector<int> kconn_dirty_slots_;          // slots to re-derive

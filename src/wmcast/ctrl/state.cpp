@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 
 #include "wmcast/util/assert.hpp"
 
@@ -123,33 +124,22 @@ void NetworkState::apply(const Event& e) {
 }
 
 wlan::Scenario NetworkState::to_scenario(std::vector<int>* row_slot) const {
-  std::vector<wlan::Point> user_pos;
-  std::vector<int> user_session;
-  std::vector<int> rows;
-  for (int s = 0; s < n_slots(); ++s) {
-    const auto& slot = slots_[static_cast<size_t>(s)];
-    if (!slot.wants_service()) continue;
-    user_pos.push_back(slot.pos);
-    user_session.push_back(slot.session);
-    rows.push_back(s);
+  const auto n = static_cast<size_t>(n_slots());
+  std::vector<wlan::Point> user_pos(n);
+  std::vector<int> user_session(n);
+  std::vector<char> active(n);
+  for (size_t s = 0; s < n; ++s) {
+    user_pos[s] = slots_[s].pos;
+    user_session[s] = slots_[s].session;
+    active[s] = slots_[s].wants_service();
   }
-  if (row_slot != nullptr) *row_slot = rows;
+  if (row_slot != nullptr) {
+    row_slot->resize(n);
+    std::iota(row_slot->begin(), row_slot->end(), 0);
+  }
   return wlan::Scenario::from_geometry(ap_pos_, std::move(user_pos),
                                        std::move(user_session), session_rate_, table_,
-                                       budget_);
-}
-
-std::vector<int> slot_association(const wlan::Association& compact,
-                                  const std::vector<int>& row_slot, int n_slots) {
-  util::require(static_cast<size_t>(compact.n_users()) == row_slot.size(),
-                "slot_association: row map size mismatch");
-  std::vector<int> out(static_cast<size_t>(n_slots), wlan::kNoAp);
-  for (int r = 0; r < compact.n_users(); ++r) {
-    const int slot = row_slot[static_cast<size_t>(r)];
-    util::require(slot >= 0 && slot < n_slots, "slot_association: row maps out of range");
-    out[static_cast<size_t>(slot)] = compact.ap_of(r);
-  }
-  return out;
+                                       budget_, nullptr, &active);
 }
 
 wlan::Association compact_association(const std::vector<int>& slot_ap,

@@ -1,11 +1,12 @@
 // Mutable network state behind the association controller. The solver-side
 // wlan::Scenario is immutable by design; NetworkState is the long-lived
 // record the controller patches as events arrive, projected per epoch into a
-// *compact* Scenario containing only the users that currently want service.
+// Scenario with one user per slot.
 //
-// Identifier spaces:
-//  * slot  — stable controller-side user id (grows on joins, never shrinks);
-//  * row   — index into the compact per-epoch Scenario; `row_slot` maps back.
+// Identifier space: a slot is the stable controller-side user id (it grows
+// on joins and never shrinks), and user s of the epoch scenario is slot s. A
+// slot that is absent or unsubscribed keeps a row, but an empty one, so the
+// solvers, the repair and the load folds skip it as uncoverable.
 #pragma once
 
 #include <vector>
@@ -79,8 +80,9 @@ class NetworkState {
   /// user == n_slots() extends the slot space.
   void apply(const Event& e);
 
-  /// Projects the compact scenario over slots with wants_service().
-  /// `row_slot` (optional out) receives the row -> slot map.
+  /// Projects the epoch scenario: user s is slot s, and a slot without
+  /// wants_service() gets an empty candidate row. `row_slot` (optional out)
+  /// receives the identity map; perfbench/ reads it.
   wlan::Scenario to_scenario(std::vector<int>* row_slot = nullptr) const;
 
   friend bool operator==(const NetworkState&, const NetworkState&) = default;
@@ -94,13 +96,8 @@ class NetworkState {
   wlan::GridIndex ap_grid_;  // derived from ap_pos_ + table_, built once
 };
 
-/// Expands a compact association (rows of `row_slot`) into slot space of size
-/// `n_slots`; unmapped slots are kNoAp.
-std::vector<int> slot_association(const wlan::Association& compact,
-                                  const std::vector<int>& row_slot, int n_slots);
-
-/// Projects a slot-space association onto compact rows (slots beyond the
-/// association's size map to kNoAp).
+/// Projects a slot-space association onto the rows of `row_slot` (slots
+/// beyond the association's size map to kNoAp). perfbench/ reads it.
 wlan::Association compact_association(const std::vector<int>& slot_ap,
                                       const std::vector<int>& row_slot);
 

@@ -87,7 +87,8 @@ Scenario Scenario::from_geometry(std::vector<Point> ap_pos, std::vector<Point> u
                                  std::vector<int> user_session,
                                  std::vector<double> session_rate_mbps,
                                  const RateTable& table, double load_budget,
-                                 util::ThreadPool* pool) {
+                                 util::ThreadPool* pool,
+                                 const std::vector<char>* active) {
   Scenario sc;
   sc.n_aps_ = static_cast<int>(ap_pos.size());
   sc.n_users_ = static_cast<int>(user_pos.size());
@@ -98,8 +99,10 @@ Scenario Scenario::from_geometry(std::vector<Point> ap_pos, std::vector<Point> u
   sc.load_budget_ = load_budget;
   sc.table_ = table;
   sc.validate_core();
+  util::require(active == nullptr || active->size() == sc.user_pos_.size(),
+                "Scenario: active mask size mismatch");
   sc.grid_ = GridIndex(sc.ap_pos_, table.range_m());
-  sc.build_geometric_rows(pool);
+  sc.build_geometric_rows(pool, active);
   return sc;
 }
 
@@ -222,20 +225,24 @@ void Scenario::validate_core() const {
   }
 }
 
-void Scenario::build_geometric_rows(util::ThreadPool* pool) {
+void Scenario::build_geometric_rows(util::ThreadPool* pool,
+                                    const std::vector<char>* active) {
   rate_levels_ = table_levels(*table_);
 
-  // One grid query per user; each lane writes the rows of its static chunk
-  // of users into its own run. Every row is a pure function of the inputs
-  // and the runs are placed in user order, so the result is bit-identical at
-  // any lane count.
+  // One grid query per active user (a masked-out user's row is empty); each
+  // lane writes the rows of its static chunk of users into its own run.
+  // Every row is a pure function of the inputs and the runs are placed in
+  // user order, so the result is bit-identical at any lane count.
   const bool parallel = pool != nullptr && pool->size() > 1 && n_users_ > 1;
   std::vector<RowWriter> runs(parallel ? static_cast<size_t>(pool->size()) : 1);
   const auto fill = [&](int64_t b, int64_t e, int lane) {
     RowWriter run;  // lane-local while it grows, so lanes share no cache line
     std::vector<Cand> cand;
     for (int64_t u = b; u < e; ++u) {
-      query_row(grid_, ap_pos_, *table_, user_pos_[static_cast<size_t>(u)], cand);
+      cand.clear();
+      if (active == nullptr || (*active)[static_cast<size_t>(u)]) {
+        query_row(grid_, ap_pos_, *table_, user_pos_[static_cast<size_t>(u)], cand);
+      }
       run.add(cand);
     }
     runs[static_cast<size_t>(lane)] = std::move(run);

@@ -113,11 +113,19 @@ class Scenario {
   /// table's coverage radius. With a pool of size > 1 the per-user rows are
   /// built in parallel over static chunks — the result is bit-identical at
   /// any thread count (each row is a pure function of the inputs).
+  ///
+  /// `active` (optional, one entry per user) names the users that want
+  /// service; a user whose entry is 0 keeps its position and session but gets
+  /// an empty candidate row without a grid query, which makes it an
+  /// uncoverable user that every solver skips. This is how the controller
+  /// keeps one row per slot (ctrl/state.hpp). Null = every user. A mask of
+  /// the wrong size throws std::invalid_argument.
   static Scenario from_geometry(std::vector<Point> ap_pos, std::vector<Point> user_pos,
                                 std::vector<int> user_session,
                                 std::vector<double> session_rate_mbps,
                                 const RateTable& table, double load_budget = 0.9,
-                                util::ThreadPool* pool = nullptr);
+                                util::ThreadPool* pool = nullptr,
+                                const std::vector<char>* active = nullptr);
 
   /// Reference construction: materializes the dense AP×user matrix with the
   /// pre-sparse O(n_aps · n_users) pairwise scan, then projects it to CSR.
@@ -247,7 +255,7 @@ class Scenario {
   Scenario() = default;
 
   void validate_core() const;
-  void build_geometric_rows(util::ThreadPool* pool);
+  void build_geometric_rows(util::ThreadPool* pool, const std::vector<char>* active);
   void set_rows(std::vector<RowWriter>& runs);
   void build_transpose();
   void finalize_stats();

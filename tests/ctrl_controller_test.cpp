@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "wmcast/assoc/centralized.hpp"
 #include "wmcast/assoc/registry.hpp"
@@ -49,6 +50,82 @@ TEST(Controller, JoinPlusLeaveCoalescesToNoOp) {
   EXPECT_EQ(c.slot_ap()[0], before[0]);
   EXPECT_EQ(c.slot_ap()[1], before[1]);
   EXPECT_EQ(c.slot_ap()[2], wlan::kNoAp);
+}
+
+// User s of the epoch scenario is slot s: after every epoch the scenario has
+// one row per slot, a slot that wants no service has an empty row (and, at
+// k = 2, an empty served-set), and every other slot's row is the geometric
+// build at its position.
+TEST(Controller, EpochScenarioRowsAreSlots) {
+  wlan::GeneratorParams p;
+  p.n_aps = 60;
+  p.n_users = 300;
+  util::Rng rng(23);
+  const auto sc0 = wlan::generate_scenario(p, rng);
+  const std::vector<std::vector<Event>> trace = {
+      {Event::leave(5), Event::leave(17), Event::move(3, {400, 400}),
+       Event::subscribe(8, 2), Event::unsubscribe(20)},
+      // Slot 300 extends the slot space; the hook refuses slot 301.
+      {Event::join(300, {500, 500}, 0), Event::join(301, {510, 500}, 1),
+       Event::leave(40), Event::subscribe(20, 0), Event::move(9, {100, 900})},
+      {Event::join(5, {700, 200}, 1), Event::leave(300), Event::subscribe(50, 4),
+       Event::move(18, {1000, 50})},
+      {Event::leave(301), Event::unsubscribe(60), Event::move(61, {20, 20})},
+      {},
+  };
+  for (const int k : {1, 2}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("k " + std::to_string(k) + " threads " + std::to_string(threads));
+      ControllerConfig cfg;
+      cfg.k = k;
+      cfg.threads = threads;
+      cfg.admission_hook = [](const JoinRequest& req, const std::vector<double>&,
+                              const NetworkState&) { return req.slot != 301; };
+      AssociationController c(sc0, cfg);
+      for (size_t e = 0; e < trace.size(); ++e) {
+        SCOPED_TRACE("epoch " + std::to_string(e));
+        c.submit(trace[e]);
+        const auto rep = c.drain();
+        ASSERT_EQ(rep.events_invalid, 0);
+        const NetworkState& st = c.state();
+        const wlan::Scenario& sc = c.scenario();
+        ASSERT_EQ(sc.n_users(), st.n_slots());
+        ASSERT_EQ(c.slot_ap().size(), static_cast<size_t>(st.n_slots()));
+        if (k == 2) {
+          ASSERT_EQ(c.multi_assoc().n_users(), st.n_slots());
+        }
+
+        std::vector<wlan::Point> pos;
+        std::vector<int> sessions;
+        for (int s = 0; s < st.n_slots(); ++s) {
+          pos.push_back(st.slot(s).pos);
+          sessions.push_back(st.slot(s).session);
+        }
+        std::vector<double> rates;
+        for (int t = 0; t < st.n_sessions(); ++t) rates.push_back(st.session_rate(t));
+        const auto geo = wlan::Scenario::from_geometry(st.ap_positions(), pos, sessions,
+                                                       rates, st.rate_table(),
+                                                       st.load_budget());
+        for (int s = 0; s < st.n_slots(); ++s) {
+          if (!st.slot(s).wants_service()) {
+            EXPECT_TRUE(sc.aps_of_user(s).empty()) << "slot " << s;
+            EXPECT_EQ(c.slot_ap()[static_cast<size_t>(s)], wlan::kNoAp) << "slot " << s;
+            if (k == 2) {
+              EXPECT_TRUE(c.multi_assoc().aps_of(s).empty()) << "slot " << s;
+            }
+            continue;
+          }
+          EXPECT_EQ(sc.user_session(s), st.slot(s).session) << "slot " << s;
+          ASSERT_EQ(sc.aps_of_user(s), geo.aps_of_user(s)) << "slot " << s;
+          for (size_t i = 0; i < geo.aps_of_user(s).size(); ++i) {
+            EXPECT_EQ(sc.rates_of_user(s)[i], geo.rates_of_user(s)[i]) << "slot " << s;
+          }
+        }
+      }
+      EXPECT_EQ(c.telemetry().joins_rejected.value(), 1u);
+      EXPECT_EQ(c.state().n_slots(), 302);
+    }
+  }
 }
 
 TEST(Controller, InvalidEventsAreCountedNotFatal) {
@@ -219,7 +296,7 @@ TEST(Controller, ReplayStaysWithinDegradationThresholdOfColdSolve) {
   EXPECT_EQ(c.epochs(), tp.epochs);
 }
 
-// The MLA-C full solve is assoc::centralized_mla on the epoch's compact
+// The MLA-C full solve is assoc::centralized_mla on the epoch's
 // scenario and nothing else: the initial association is the cold MLA-C one,
 // and every baseline equals a cold MLA-C on the committed scenario bit for
 // bit — whatever churn came before, at any thread count.

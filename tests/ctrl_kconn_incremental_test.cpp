@@ -50,12 +50,8 @@ void expect_matches_cold(const AssociationController& c,
   kp.k = cfg.k;
   kp.multi_rate = cfg.multi_rate;
   kp.enforce_budget = true;  // as the controller does
-  wlan::Association base = wlan::Association::none(sc.n_users());
-  for (int r = 0; r < sc.n_users(); ++r) {
-    base.user_ap[static_cast<size_t>(r)] =
-        c.slot_ap()[static_cast<size_t>(c.row_slot()[static_cast<size_t>(r)])];
-  }
-  const auto cold = assoc::augment_to_k(sc, base, c.loads(), kp);
+  const auto cold =
+      assoc::augment_to_k(sc, wlan::Association{c.slot_ap()}, c.loads(), kp);
   ASSERT_TRUE(cold == c.multi_assoc())
       << "epoch " << epoch << ": incremental served-sets diverge from cold";
   const auto loads = wlan::compute_multi_loads(sc, cold, kp.multi_rate);
@@ -152,7 +148,10 @@ TEST(KconnIncremental, RejectedAdmissionKeepsCachedOverlay) {
   EXPECT_FALSE(rep.kconn_rebuild);
   EXPECT_EQ(c.telemetry().engine_kconn_repairs.value(), repairs);
   EXPECT_EQ(c.telemetry().engine_kconn_rebuilds.value(), rebuilds);
-  EXPECT_TRUE(c.multi_assoc() == overlay);
+  // The overlay is indexed by slot: the refused slot 3 gets an empty set.
+  auto expected = overlay;
+  expected.user_aps.emplace_back();
+  EXPECT_TRUE(c.multi_assoc() == expected);
 }
 
 TEST(KconnIncremental, NoOpRateChangeKeepsCachedOverlay) {
@@ -185,7 +184,10 @@ TEST(KconnIncremental, JoinPlusLeaveCoalescedKeepsCachedOverlay) {
   EXPECT_FALSE(rep.kconn_rebuild);
   EXPECT_EQ(c.telemetry().engine_kconn_repairs.value(), repairs);
   EXPECT_EQ(c.telemetry().engine_kconn_rebuilds.value(), rebuilds);
-  EXPECT_TRUE(c.multi_assoc() == overlay);
+  // The overlay is indexed by slot: the departed slot 3 has an empty set.
+  auto expected = overlay;
+  expected.user_aps.emplace_back();
+  EXPECT_TRUE(c.multi_assoc() == expected);
 }
 
 // A genuinely dirty epoch must NOT be treated as quiescent: the narrow

@@ -80,23 +80,34 @@ TEST(NetworkState, ApplyLifecycleAndErrors) {
   EXPECT_DOUBLE_EQ(st.session_rate(0), 2.5);
 }
 
-TEST(NetworkState, ToScenarioProjectsOnlyServiceWantingSlots) {
+TEST(NetworkState, ToScenarioGivesEverySlotARow) {
   auto st = two_ap_state({{10, 0}, {40, 0}, {60, 0}}, {0, 1, 0});
   st.apply(Event::leave(1));
-  std::vector<int> row_slot;
-  const auto sc = st.to_scenario(&row_slot);
-  EXPECT_EQ(sc.n_users(), 2);
-  EXPECT_EQ(row_slot, (std::vector<int>{0, 2}));
-  EXPECT_EQ(sc.user_session(1), 0);
+  st.apply(Event::unsubscribe(2));
+  std::vector<int> slot_of_row;
+  const auto sc = st.to_scenario(&slot_of_row);
+  ASSERT_EQ(sc.n_users(), 3);
+  EXPECT_EQ(slot_of_row, (std::vector<int>{0, 1, 2}));
+  // The slots that want no service keep their rows, empty ones; their
+  // positions and sessions stay as they were.
+  EXPECT_EQ(sc.aps_of_user(0), (std::vector<int>{0}));
+  EXPECT_DOUBLE_EQ(sc.link_rate(0, 0), 54.0);
+  EXPECT_TRUE(sc.aps_of_user(1).empty());
+  EXPECT_TRUE(sc.aps_of_user(2).empty());
+  EXPECT_EQ(sc.n_coverable_users(), 1);
+  EXPECT_EQ(sc.users_of_ap(0), (std::vector<int>{0}));
+  EXPECT_EQ(sc.user_session(1), 1);
+  EXPECT_DOUBLE_EQ(sc.user_positions()[2].x, 60.0);
 }
 
 TEST(SlotAssociation, RoundTripsThroughCompactRows) {
-  const std::vector<int> row_slot = {0, 2, 5};
-  wlan::Association compact{{3, wlan::kNoAp, 1}};
-  const auto slots = slot_association(compact, row_slot, 6);
-  EXPECT_EQ(slots, (std::vector<int>{3, wlan::kNoAp, wlan::kNoAp, wlan::kNoAp,
-                                     wlan::kNoAp, 1}));
-  EXPECT_EQ(compact_association(slots, row_slot), compact);
+  const std::vector<int> slot_of_row = {0, 2, 5};
+  const std::vector<int> slots = {3, wlan::kNoAp, wlan::kNoAp, wlan::kNoAp,
+                                  wlan::kNoAp, 1};
+  EXPECT_EQ(compact_association(slots, slot_of_row),
+            (wlan::Association{{3, wlan::kNoAp, 1}}));
+  // Slots beyond the association's size map to kNoAp.
+  EXPECT_EQ(compact_association({3}, {0, 4}), (wlan::Association{{3, wlan::kNoAp}}));
 }
 
 TEST(DirtyRegion, MoveAcrossRateStepIsDirty) {

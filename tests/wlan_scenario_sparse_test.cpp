@@ -137,6 +137,75 @@ TEST(SparseScenarioTest, ParallelBuildIsBitIdenticalToSerial) {
   }
 }
 
+TEST(SparseScenarioTest, ActiveMaskEmptiesExactlyTheMaskedRows) {
+  const RateTable table = RateTable::ieee80211a();
+  util::Rng rng(929);
+  util::ThreadPool pool4(4);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    const RandomInstance in = draw(rng);
+    std::vector<char> active(in.user_pos.size());
+    for (auto& m : active) m = rng.next_int(3) != 0 ? 1 : 0;
+    const auto full = Scenario::from_geometry(in.ap_pos, in.user_pos, in.user_session,
+                                              in.session_rates, table);
+    const auto masked =
+        Scenario::from_geometry(in.ap_pos, in.user_pos, in.user_session,
+                                in.session_rates, table, 0.9, nullptr, &active);
+    ASSERT_EQ(masked.n_users(), full.n_users());
+
+    int64_t masked_links = 0;
+    int masked_coverable = 0;
+    std::vector<int64_t> level_counts = full.rate_level_counts();
+    for (int u = 0; u < full.n_users(); ++u) {
+      EXPECT_EQ(masked.user_session(u), full.user_session(u));
+      const IndexSpan aps = full.aps_of_user(u);
+      if (active[static_cast<size_t>(u)]) {
+        ASSERT_EQ(masked.aps_of_user(u), aps) << "user " << u;
+        for (size_t i = 0; i < aps.size(); ++i) {
+          EXPECT_EQ(masked.rates_of_user(u).level(i), full.rates_of_user(u).level(i));
+        }
+        continue;
+      }
+      EXPECT_TRUE(masked.aps_of_user(u).empty()) << "user " << u;
+      EXPECT_EQ(masked.strongest_ap(u), kNoAp);
+      masked_links += static_cast<int64_t>(aps.size());
+      if (!aps.empty()) ++masked_coverable;
+      for (size_t i = 0; i < aps.size(); ++i) {
+        --level_counts[static_cast<size_t>(full.rates_of_user(u).level(i))];
+      }
+    }
+    EXPECT_EQ(masked.n_links(), full.n_links() - masked_links);
+    EXPECT_EQ(masked.n_coverable_users(), full.n_coverable_users() - masked_coverable);
+    EXPECT_EQ(masked.rate_level_counts(), level_counts);
+
+    // The transpose is the unmasked one without the masked-out users.
+    for (int a = 0; a < full.n_aps(); ++a) {
+      std::vector<int> users;
+      std::vector<int> levels;
+      const IndexSpan all = full.users_of_ap(a);
+      for (size_t i = 0; i < all.size(); ++i) {
+        if (!active[static_cast<size_t>(all[i])]) continue;
+        users.push_back(all[i]);
+        levels.push_back(full.rates_of_ap(a).level(i));
+      }
+      ASSERT_EQ(masked.users_of_ap(a), users) << "ap " << a;
+      for (size_t i = 0; i < users.size(); ++i) {
+        EXPECT_EQ(masked.rates_of_ap(a).level(i), levels[i]) << "ap " << a;
+      }
+    }
+
+    const auto parallel =
+        Scenario::from_geometry(in.ap_pos, in.user_pos, in.user_session,
+                                in.session_rates, table, 0.9, &pool4, &active);
+    expect_identical(masked, parallel);
+  }
+
+  const std::vector<char> wrong_size(1, 1);
+  EXPECT_THROW(Scenario::from_geometry({{0.0, 0.0}}, {{1.0, 1.0}, {2.0, 2.0}}, {0, 0},
+                                       {1.0}, table, 0.9, nullptr, &wrong_size),
+               std::invalid_argument);
+}
+
 TEST(SparseScenarioTest, ApExactlyAtMaxRangeIsInRange) {
   const RateTable table = RateTable::ieee80211a();
   const double r = table.range_m();
