@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
   const double ratio = cold_signal.mean() / std::max(warm_signal.mean(), 1.0);
   std::printf("\naverages over %d epochs:\n", tp.epochs);
   std::printf("  total load: warm distributed %.2f vs cold centralized %.2f "
-              "(+%.1f%%)\n", warm_load.mean(), cold_load.mean(), warm_gap.mean());
+              "(%+.1f%%)\n", warm_load.mean(), cold_load.mean(), warm_gap.mean());
   std::printf("  re-associations per epoch: warm %.1f vs cold %.1f (%.1fx less "
               "signaling)\n", warm_signal.mean(), cold_signal.mean(), ratio);
   std::printf("  warm convergence: %.1f rounds per epoch\n", warm_rounds.mean());

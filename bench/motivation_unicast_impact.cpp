@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   t.print();
 
   std::printf("\nunicast goodput recovered by association control vs SSA:\n");
-  std::printf("  MLA-C +%.1f%%   BLA-C +%.1f%%   MLA-D +%.1f%%\n",
+  std::printf("  MLA-C %+.1f%%   BLA-C %+.1f%%   MLA-D %+.1f%%\n",
               util::percent_gain(stats[2].goodput.mean(), stats[1].goodput.mean()),
               util::percent_gain(stats[3].goodput.mean(), stats[1].goodput.mean()),
               util::percent_gain(stats[4].goodput.mean(), stats[1].goodput.mean()));

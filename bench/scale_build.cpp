@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
       arms.push_back({"mla_solve_k2", k_seconds, sparse.memory_bytes(),
                       peak_rss_bytes()});
       std::printf("MLA k=%d: %d multi-served users, mean effective rate %.2f Mbps, "
-                  "%.2fs (+%.0f%% over k=1)\n",
+                  "%.2fs (%+.0f%% over k=1)\n",
                   k, ksol.multi_loads.multi_served_users,
                   ksol.multi_loads.mean_effective_rate, k_seconds,
                   solve_seconds > 0.0 ? (k_seconds / solve_seconds - 1.0) * 100.0 : 0.0);

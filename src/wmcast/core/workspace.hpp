@@ -66,11 +66,11 @@ struct SolveWorkspace {
 };
 
 /// Scratch for the association-side algorithms (local search, distributed
-/// rounds, controller repair): per-AP member lists and loads. prepare() keeps
-/// inner-vector capacity so steady-state epochs allocate nothing.
+/// rounds, controller repair): per-AP member lists and per-user placements.
+/// prepare() keeps inner-vector capacity so steady-state epochs allocate
+/// nothing.
 struct AssocWorkspace {
   std::vector<std::vector<int>> members;  // per AP
-  std::vector<double> ap_load;            // per AP
   std::vector<int> user_ap;               // per user
   std::vector<int> decision;              // per user (simultaneous rounds)
   std::vector<int> scratch;               // movers / pending lists
@@ -80,7 +80,6 @@ struct AssocWorkspace {
       members.resize(static_cast<size_t>(n_aps));
     }
     for (int a = 0; a < n_aps; ++a) members[static_cast<size_t>(a)].clear();
-    ap_load.assign(static_cast<size_t>(n_aps), 0.0);
     user_ap.assign(static_cast<size_t>(n_users), -1);
     decision.clear();
     scratch.clear();

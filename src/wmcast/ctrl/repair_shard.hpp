@@ -4,15 +4,17 @@
 //
 // Partition. Two APs interact during repair only when some user who may move
 // hears both: a mover can be placed on any AP it hears, and an eviction from
-// an over-budget AP turns that AP's members into movers. Union-find over the
-// APs — uniting every mover's candidate set, and every over-budget AP with
-// the candidate sets of all its members — therefore yields components whose
-// repairs are independent: the peel and greedy phases of a component read and
-// write only that component's AP loads and member lists. Each component with
-// work (a mover or an over-budget AP) becomes one task; tasks are ordered by
-// (grid cell of the lowest AP, lowest AP id), so when the partition
-// degenerates into many tiny components, neighboring APs' tasks land in the
-// same static chunk and walk cache-adjacent scenario rows.
+// an over-budget AP turns that AP's members into movers. The partition is
+// therefore build_component_tasks over the movers plus the other members of
+// every over-budget AP (each member hears its own AP, so uniting its heard
+// set unites the AP with every AP an eviction could land on): its components
+// are independent, since the peel and greedy phases of a component read and
+// write only that component's AP loads and member lists.
+//
+// Per task. The peel and the polish are assoc::peel_over_budget and
+// assoc::climb, the budget peel and move loop of assoc/local_search, run on a
+// scoped wlan::LoadModel over the task's APs; between them the task's pending
+// users are placed by the distributed decision rule (assoc/policy.hpp).
 //
 // Determinism contract. The repaired association is a pure function of
 // (scenario, carried association, movable rows, params) — bitwise identical
@@ -24,9 +26,10 @@
 //    sorted, movers in movable-row order with evictions appended in peel
 //    order) is fixed before dispatch.
 // The peel and greedy phases commit exactly what a single global pass would;
-// the polish evaluates its accept/reject epsilons against the task-local
-// running total instead of a network-wide one (a deliberate semantic choice —
-// it is what makes the phase decomposable).
+// the polish seeds its running total with the task's AP loads summed in
+// ascending AP order and evaluates its accept/reject epsilons against it
+// instead of a network-wide total (a deliberate semantic choice — it is what
+// makes the phase decomposable).
 //
 // Only the kTotalLoad objective is supported: the kMaxLoad key compares
 // against the global maximum, which no AP-disjoint partition can evaluate
@@ -79,17 +82,24 @@ void repair_sharded(const wlan::Scenario& sc, std::vector<int>& user_ap,
                     std::vector<RepairLaneWorkspace>& lanes,
                     RepairShardStats* stats = nullptr);
 
-/// AP-connected component tasks over an arbitrary dirty-row set — the same
-/// union-find partition repair_sharded builds internally, exposed for the
-/// k-connectivity overlay repair (ctrl/controller.cpp), whose per-user
-/// derivations read only the rows' heard APs. rows[t] lists each task's rows
-/// in ascending order; order[] is the deterministic dispatch order (grid cell
-/// of the component's lowest AP, then lowest AP id — a pure function of the
-/// AP layout, so any consumer iterating tasks in this order is
-/// thread-invariant). Rows with an empty heard-set are appended to
-/// `isolated` instead of any task.
+/// AP-connected component tasks over a dirty-row set: a union-find over the
+/// APs unites every row's heard set, and each component that holds a row
+/// becomes one task. repair_sharded partitions its repair with it, and the
+/// k-connectivity overlay repair (ctrl/controller.cpp) its per-user
+/// derivations, which read only the rows' heard APs.
+///  * rows[t] lists task t's rows in input order.
+///  * ap_task[a] is the task of AP a's component, or -1 when it holds no
+///    row; scanning a upwards yields each task's APs in ascending order.
+///  * order[] is the dispatch order: grid cell of the component's lowest AP,
+///    then lowest AP id. It is a pure function of the AP layout, so any
+///    consumer iterating tasks in this order is thread-invariant, and when
+///    the partition degenerates into many tiny components, neighboring APs'
+///    tasks land in the same static chunk and walk cache-adjacent rows.
+/// Rows with an empty heard-set are appended to `isolated` instead of any
+/// task.
 struct ComponentTasks {
   std::vector<std::vector<int>> rows;
+  std::vector<int> ap_task;
   std::vector<int> order;
 };
 void build_component_tasks(const wlan::Scenario& sc,

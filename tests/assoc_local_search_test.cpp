@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pinned_starts.hpp"
 #include "test_fixtures.hpp"
 #include "wmcast/assoc/centralized.hpp"
 #include "wmcast/assoc/ssa.hpp"
@@ -79,9 +80,10 @@ TEST(LocalSearch, MaxLoadPlateausAreRealLocalOptima) {
 TEST(LocalSearch, ServesMoreUsersUnderTightBudget) {
   const auto sc = test::fig1_scenario(3.0);
   // Start from the paper's bad SSA outcome: u1 on a1, u3 on a2, rest unserved.
+  // Both objectives rank served users first, so the MLA key serves more.
   const wlan::Association bad{{0, wlan::kNoAp, 1, wlan::kNoAp, wlan::kNoAp}};
   LocalSearchParams lp;
-  lp.objective = SearchObjective::kServedUsers;
+  lp.objective = SearchObjective::kTotalLoad;
   const auto polished = local_search(sc, bad, lp);
   // The optimum serves 4; local search must at least improve on 2.
   EXPECT_GE(polished.loads.satisfied_users, 3);
@@ -134,6 +136,37 @@ TEST(LocalSearch, RespectsMoveBudget) {
   const auto start = ssa_associate(sc, srng);
   local_search(sc, start.assoc, lp, &stats);
   EXPECT_LE(stats.moves, 1);
+}
+
+TEST(LocalSearch, DecisionsArePinned) {
+  // Every eviction and accepted move, in order, is part of the contract: the
+  // digest pins them, so a change to the budget peel or the move loop must
+  // reproduce them exactly. Over-budget starts exercise the peel; the 7-move
+  // cap and the target stop exercise the early exits.
+  const auto starts = test::over_budget_starts();
+  int over = 0;
+  test::Fnv1a h;
+  for (const auto& s : starts) {
+    over += test::over_budget_aps(s);
+    const double start_total = wlan::compute_loads(s.sc, s.start).total_load;
+    for (const auto obj : {SearchObjective::kTotalLoad, SearchObjective::kMaxLoad}) {
+      for (const int max_moves : {100000, 7}) {
+        for (const double target : {-1.0, 0.9 * start_total}) {
+          LocalSearchParams lp;
+          lp.objective = obj;
+          lp.max_moves = max_moves;
+          lp.target_total = target;
+          LocalSearchStats stats;
+          const auto sol = local_search(s.sc, s.start, lp, &stats);
+          h.add(sol.assoc.user_ap);
+          h.add(stats.moves);
+          h.add(stats.reached_local_optimum);
+        }
+      }
+    }
+  }
+  ASSERT_GT(over, 0) << "no start is over budget; the peel is not exercised";
+  EXPECT_EQ(h.value(), 0x00970da3c7dfa6eaull) << std::hex << "0x" << h.value();
 }
 
 TEST(LocalSearch, InvalidStartThrows) {

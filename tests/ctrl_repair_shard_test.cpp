@@ -1,14 +1,15 @@
 // Sharded incremental repair (ctrl/repair_shard.hpp) and the wlan::LoadModel
 // it runs on: partition edge cases (empty dirty set, all-dirty, one
 // mega-component), the bitwise thread-invariance contract, the model's
-// exactness against ap_load_for_members, and the signaling-cap rollback on a
-// sharded merged result.
+// exactness against ap_load_for_members, the signaling-cap rollback on a
+// sharded merged result, and a digest pinning every repair decision.
 #include "wmcast/ctrl/repair_shard.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "pinned_starts.hpp"
 #include "wmcast/assoc/registry.hpp"
 #include "wmcast/ctrl/controller.hpp"
 #include "wmcast/ctrl/trace.hpp"
@@ -188,6 +189,57 @@ TEST(RepairShard, DenseScenarioCollapsesToOneMegaComponent) {
   EXPECT_EQ(stats.shards, 1);
   EXPECT_EQ(stats.movers, sc.n_users());
   EXPECT_EQ(stats.imbalance, 1.0);
+}
+
+TEST(RepairShard, DecisionsArePinned) {
+  // The repair's decisions are part of the contract: the digest pins every
+  // committed placement, member-list order and stat, so a change to the
+  // partition, the peel, the greedy re-place or the polish must reproduce
+  // them exactly. Starts are over budget, so the peel evicts; a fifth of the
+  // users are movable and half of those start unplaced, as users whose
+  // carried AP went out of range do in the controller.
+  const auto starts = test::over_budget_starts();
+  int over = 0;
+  test::Fnv1a h;
+  for (size_t i = 0; i < starts.size(); ++i) {
+    const auto& s = starts[i];
+    over += test::over_budget_aps(s);
+    Carried base;
+    base.user_ap = s.start.user_ap;
+    base.members.resize(static_cast<size_t>(s.sc.n_aps()));
+    std::vector<int> movable;
+    util::Rng pick(8100 + i);
+    for (int u = 0; u < s.sc.n_users(); ++u) {
+      if (!pick.next_bool(0.2)) continue;
+      movable.push_back(u);
+      if (movable.size() % 2 == 0) base.user_ap[static_cast<size_t>(u)] = wlan::kNoAp;
+    }
+    for (int u = 0; u < s.sc.n_users(); ++u) {
+      const int a = base.user_ap[static_cast<size_t>(u)];
+      if (a != wlan::kNoAp) base.members[static_cast<size_t>(a)].push_back(u);
+    }
+    for (const int threads : {1, 4}) {
+      util::ThreadPool pool(threads);
+      std::vector<RepairLaneWorkspace> lanes;
+      for (const bool polish : {true, false}) {
+        for (const double min_gain : {0.0, 0.02}) {
+          RepairShardParams rp;
+          rp.polish = polish;
+          rp.polish_min_gain = min_gain;
+          auto c = base;
+          RepairShardStats st;
+          repair_sharded(s.sc, c.user_ap, c.members, movable, rp, pool, lanes, &st);
+          h.add(c.user_ap);
+          for (const auto& m : c.members) h.add(m);
+          h.add(st.shards);
+          h.add(st.movers);
+          h.add(st.imbalance);
+        }
+      }
+    }
+  }
+  ASSERT_GT(over, 0) << "no start is over budget; the peel is not exercised";
+  EXPECT_EQ(h.value(), 0x3b14bdfcd3a03a2dull) << std::hex << "0x" << h.value();
 }
 
 TEST(RepairShard, ControllerThreadInvarianceOverChurn) {
