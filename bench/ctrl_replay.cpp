@@ -201,14 +201,22 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  const double ratio = cold_signal.mean() / std::max(inc_signal.mean(), 1e-9);
+  // With no incremental handoff there is no ratio to report: the target is
+  // met exactly when the cold leg made at least one.
+  const bool inc_handoffs = inc_signal.mean() > 0.0;
+  const double ratio = inc_handoffs ? cold_signal.mean() / inc_signal.mean() : 0.0;
   const double gap = load_gap_pct.mean();
-  const bool signal_ok = ratio >= 5.0;
+  const bool signal_ok = inc_handoffs ? ratio >= 5.0 : cold_signal.mean() > 0.0;
   const bool quality_ok = gap <= 100.0 * cfg.degradation_threshold;
 
   std::printf("\naverages over %d epochs:\n", trace.n_epochs());
-  std::printf("  re-associations (handoffs) per epoch: incremental %.1f vs cold %.1f "
-              "(%.1fx fewer)\n", inc_signal.mean(), cold_signal.mean(), ratio);
+  std::printf("  re-associations (handoffs) per epoch: incremental %.1f vs cold %.1f ",
+              inc_signal.mean(), cold_signal.mean());
+  if (inc_handoffs) {
+    std::printf("(%.1fx fewer)\n", ratio);
+  } else {
+    std::printf("(no incremental handoff)\n");
+  }
   std::printf("  all association changes per epoch (incl. joins/leaves): "
               "incremental %.1f vs cold %.1f\n", inc_total.mean(), cold_total.mean());
   std::printf("  total load: incremental %.2f vs cold %.2f (gap %+.1f%%, "
@@ -259,7 +267,7 @@ int main(int argc, char** argv) {
     j.set("cold_handoffs_per_epoch", util::Json(cold_signal.mean()));
     j.set("incremental_changes_per_epoch", util::Json(inc_total.mean()));
     j.set("cold_changes_per_epoch", util::Json(cold_total.mean()));
-    j.set("signaling_ratio", util::Json(ratio));
+    j.set("signaling_ratio", inc_handoffs ? util::Json(ratio) : util::Json());
     j.set("incremental_mean_load", util::Json(inc_load.mean()));
     j.set("cold_mean_load", util::Json(cold_load.mean()));
     j.set("load_gap_pct", util::Json(gap));

@@ -19,17 +19,20 @@
 //                             --batch-max=1 by >= K in wall events/sec;
 //                             CI pins K on the committed BENCH_serve.json run
 //  --k=K                      serve with the k-connectivity overlay
-//                             (DESIGN.md §15/§16); with K >= 2 two extra churn
-//                             arms replay the same truncated stream with the
-//                             incremental kconn engine on (kconn_incremental)
-//                             and off (kconn_cold: full overlay rebuild every
-//                             non-quiescent epoch)
+//                             (DESIGN.md §15/§16); with K >= 2 an extra churn
+//                             arm (kconn_incremental) serves a truncated
+//                             stream, and a cold leg replays it on a second
+//                             controller in as many equal batches, timing a
+//                             serial re-derivation of the whole overlay after
+//                             each drain (exit 1 if it differs from the
+//                             controller's overlay)
 //  --kconn-events=N           truncate the kconn comparison stream to N events
-//                             so the cold leg (a full rebuild per batch) stays
-//                             tractable at 100k users
-//  --require-kconn-speedup=K  exit 1 unless the incremental leg beats the cold
-//                             leg by >= K in wall events/sec; the dirty-region
-//                             repair claim of DESIGN.md §16, pinned by CI
+//                             so the cold leg (a full re-derivation per batch)
+//                             stays tractable at 100k users
+//  --require-kconn-speedup=K  exit 1 unless the incremental overlay repair
+//                             beats the cold leg by >= K in wall time; the
+//                             dirty-region repair claim of DESIGN.md §16,
+//                             pinned by CI
 //  --json                     wmcast-microbench/v1 document for
 //                             tools/bench_guard (per-event wall ns per arm,
 //                             plus the main arm's p99 latency in ns)
@@ -41,6 +44,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "wmcast/assoc/kconn.hpp"
 #include "wmcast/ctrl/controller.hpp"
 #include "wmcast/serve/loop.hpp"
 #include "wmcast/serve/workload.hpp"
@@ -72,7 +76,6 @@ struct ArmResult {
   uint64_t coalesced = 0;
   double kconn_s = 0.0;  // wall spent in refresh_multi (overlay repair only)
   uint64_t kconn_repaired = 0;  // engine.kconn.repaired_users over the run
-  uint64_t kconn_rebuilds = 0;  // engine.kconn.engine_rebuilds over the run
 };
 
 ArmResult run_arm(const std::string& name, const wlan::Scenario& sc,
@@ -80,8 +83,8 @@ ArmResult run_arm(const std::string& name, const wlan::Scenario& sc,
                   const std::vector<serve::TimedEvent>& events, double duration_s) {
   ctrl::AssociationController controller(sc, cfg);
   serve::ServeLoop loop(&controller, scfg);
-  // Exclude the constructor's cold overlay build: the arm measures steady-state
-  // epoch repair, and both kconn legs pay the identical initial build.
+  // Exclude the constructor's first overlay derivation: the arm measures
+  // steady-state epoch repair.
   const double kconn0 = controller.kconn_seconds();
   const double t0 = now_seconds();
   for (const auto& te : events) loop.offer(te.t_s, te.ev);
@@ -99,8 +102,67 @@ ArmResult run_arm(const std::string& name, const wlan::Scenario& sc,
   r.coalesced = tele.coalesced.value();
   r.kconn_s = controller.kconn_seconds() - kconn0;
   r.kconn_repaired = controller.telemetry().engine_kconn_repaired_users.value();
-  r.kconn_rebuilds = controller.telemetry().engine_kconn_rebuilds.value();
   return r;
+}
+
+/// The cold overlay leg: replays `events` on a fresh controller in `batches`
+/// equal batches and, after each drain, times the serial re-derivation of the
+/// whole k >= 2 overlay from the committed state through the public phase
+/// functions — plan every AP, derive every row, settle every AP, fold the
+/// load report — reusing the plan, served-set store and tx table across
+/// epochs. Returns the summed seconds of those re-derivations, or -1 when one
+/// differs from the controller's own overlay.
+double cold_overlay_seconds(const wlan::Scenario& sc, const ctrl::ControllerConfig& cfg,
+                            const std::vector<serve::TimedEvent>& events,
+                            uint64_t batches) {
+  ctrl::AssociationController controller(sc, cfg);
+  assoc::KconnParams kp;
+  kp.k = cfg.k;
+  kp.multi_rate = cfg.multi_rate;
+  kp.enforce_budget = true;  // as the controller does
+  assoc::KconnPlan plan;  // the AP and session counts never change
+  plan.resize(sc.n_aps(), sc.n_sessions());
+  std::vector<std::vector<double>> tx(
+      static_cast<size_t>(sc.n_aps()),
+      std::vector<double>(static_cast<size_t>(sc.n_sessions())));
+  wlan::MultiAssociation multi;
+  assoc::KconnScratch scratch;
+  const size_t n_batches = std::max<uint64_t>(batches, 1);
+  double seconds = 0.0;
+  for (size_t b = 0; b < n_batches; ++b) {
+    for (size_t i = events.size() * b / n_batches;
+         i < events.size() * (b + 1) / n_batches; ++i) {
+      controller.submit(events[i].ev);
+    }
+    controller.drain();
+    const wlan::Scenario& esc = controller.scenario();
+    const wlan::Association base{controller.slot_ap()};
+    const wlan::LoadReport& loads = controller.loads();
+
+    const double t0 = now_seconds();
+    for (int a = 0; a < esc.n_aps(); ++a) {
+      assoc::kconn_plan_ap(esc, base, loads, kp, a, plan);
+    }
+    multi.user_aps.resize(static_cast<size_t>(esc.n_users()));
+    for (int u = 0; u < esc.n_users(); ++u) {
+      assoc::kconn_derive_user(esc, base, plan, kp, u,
+                               multi.user_aps[static_cast<size_t>(u)], scratch);
+    }
+    for (int a = 0; a < esc.n_aps(); ++a) {
+      assoc::kconn_settle_ap(esc, loads, kp, plan, multi, a,
+                             tx[static_cast<size_t>(a)].data());
+    }
+    const wlan::MultiLoadReport report = wlan::multi_loads_from_tx(esc, multi, tx);
+    seconds += now_seconds() - t0;
+
+    const wlan::MultiLoadReport& kept = controller.multi_loads();
+    if (!(multi == controller.multi_assoc()) || report.tx_rate != kept.tx_rate ||
+        report.effective_rate != kept.effective_rate ||
+        report.total_load != kept.total_load) {
+      return -1.0;
+    }
+  }
+  return seconds;
 }
 
 }  // namespace
@@ -214,13 +276,13 @@ int main(int argc, char** argv) {
   double kconn_speedup = 0.0;
   double kconn_inc_s = 0.0;
   double kconn_cold_s = 0.0;
+  size_t kconn_arm = 0;  // index of the kconn_incremental arm
   if (k >= 2) {
     // Incremental-vs-cold overlay repair on a pure churn stream (moves /
-    // joins / leaves / zaps). Rate changes are filtered out: a stream-rate
-    // change legitimately forces a cold rebuild on BOTH legs (DESIGN.md §16),
-    // so leaving them in would only measure how often the profile emits them.
-    // The gate compares wall time spent in refresh_multi itself — base repair
-    // is identical on both legs and would otherwise swamp the overlay cost.
+    // joins / leaves / zaps). Rate changes are filtered out, as they were
+    // when the committed cold baseline (bench/BENCH_kconn_cold_baseline.json)
+    // was measured. The gate compares wall time spent on the overlay alone —
+    // base repair would otherwise swamp its cost.
     std::vector<serve::TimedEvent> churn;
     churn.reserve(workload.size());
     for (const auto& te : workload) {
@@ -230,15 +292,16 @@ int main(int argc, char** argv) {
     }
     const double churn_end = churn.empty() ? 0.0 : churn.back().t_s;
 
+    kconn_arm = arms.size();
     arms.push_back(run_arm("kconn_incremental", sc, cfg, scfg, churn, churn_end));
-    ctrl::ControllerConfig cold = cfg;
-    cold.kconn_incremental = false;
-    arms.push_back(run_arm("kconn_cold", sc, cold, scfg, churn, churn_end));
-    const ArmResult& inc = arms[arms.size() - 2];
-    const ArmResult& full = arms.back();
-    kconn_inc_s = inc.kconn_s;
-    kconn_cold_s = full.kconn_s;
-    kconn_speedup = inc.kconn_s > 0.0 ? full.kconn_s / inc.kconn_s : 0.0;
+    kconn_inc_s = arms[kconn_arm].kconn_s;
+    kconn_cold_s = cold_overlay_seconds(sc, cfg, churn, arms[kconn_arm].batches);
+    if (kconn_cold_s < 0.0) {
+      std::fprintf(stderr, "serve_load: cold overlay re-derivation differs from "
+                           "the controller's overlay\n");
+      return 1;
+    }
+    kconn_speedup = kconn_inc_s > 0.0 ? kconn_cold_s / kconn_inc_s : 0.0;
   }
 
   util::Table t({"arm", "events", "batches", "wall_s", "events/s", "p50_ms",
@@ -256,12 +319,13 @@ int main(int argc, char** argv) {
                 "--batch-max=1\n", gain);
   }
   if (k >= 2) {
-    const ArmResult& inc_arm = arms[arms.size() - 2];
-    std::printf("\nincremental kconn repair: %.3fs vs %.3fs cold in refresh_multi "
-                "(%.1fx faster, k=%d; %llu users re-derived, %llu rebuilds)\n",
-                kconn_inc_s, kconn_cold_s, kconn_speedup, k,
-                static_cast<unsigned long long>(inc_arm.kconn_repaired),
-                static_cast<unsigned long long>(inc_arm.kconn_rebuilds));
+    const ArmResult& inc_arm = arms[kconn_arm];
+    std::printf("\n%s overlay repair: %.3fs in refresh_multi vs %.3fs cold "
+                "re-derivation over %llu batches (%.1fx faster, k=%d; %llu users "
+                "re-derived)\n",
+                inc_arm.name.c_str(), kconn_inc_s, kconn_cold_s,
+                static_cast<unsigned long long>(inc_arm.batches), kconn_speedup, k,
+                static_cast<unsigned long long>(inc_arm.kconn_repaired));
   }
 
   const std::string json_path = args.get("json", "");
@@ -292,10 +356,10 @@ int main(int argc, char** argv) {
     if (k >= 2) {
       // Overlay-repair-only entries for the incremental-kconn speedup gate:
       // the committed cold baseline (bench/BENCH_kconn_cold_baseline.json)
-      // carries the kconn_cold leg's number under the kconn_repair name, so
+      // carries a cold leg's number under the kconn_repair name, so
       // bench_guard --only=serve_load/kconn_repair/<tag> --require-speedup=K
-      // pins the incremental engine's win against a full rebuild.
-      const size_t churn_events = arms[arms.size() - 2].events;
+      // pins the incremental engine's win against a full re-derivation.
+      const size_t churn_events = arms[kconn_arm].events;
       util::Json b = util::Json::object();
       b.set("name", "serve_load/kconn_repair/" + size_tag);
       b.set("real_time_ns",

@@ -178,49 +178,6 @@ void kconn_settle_ap(const wlan::Scenario& sc, const wlan::LoadReport& base_load
   }
 }
 
-wlan::MultiLoadReport kconn_collect_loads(const wlan::Scenario& sc,
-                                          const wlan::MultiAssociation& multi,
-                                          const std::vector<std::vector<double>>& tx) {
-  util::require(multi.n_users() == sc.n_users(),
-                "kconn_collect_loads: association size mismatch");
-  wlan::MultiLoadReport rep;
-  rep.tx_rate = tx;
-  rep.ap_load.assign(static_cast<size_t>(sc.n_aps()), 0.0);
-  rep.effective_rate.assign(static_cast<size_t>(sc.n_users()), 0.0);
-
-  for (int a = 0; a < sc.n_aps(); ++a) {
-    double load = 0.0;
-    for (int s = 0; s < sc.n_sessions(); ++s) {
-      const double t = tx[static_cast<size_t>(a)][static_cast<size_t>(s)];
-      if (t <= 0.0) continue;
-      load += sc.session_rate(s) / t;
-    }
-    rep.ap_load[static_cast<size_t>(a)] = load;
-    rep.total_load += load;
-    rep.max_load = std::max(rep.max_load, load);
-    if (util::exceeds_budget(load, sc.load_budget())) ++rep.budget_violations;
-  }
-
-  double sum_eff = 0.0;
-  for (int u = 0; u < sc.n_users(); ++u) {
-    const auto& aps = multi.aps_of(u);
-    if (!aps.empty()) {
-      ++rep.satisfied_users;
-      if (aps.size() >= 2) ++rep.multi_served_users;
-    }
-    const int s = sc.user_session(u);
-    double eff = 0.0;
-    for (const int a : aps) {
-      eff += tx[static_cast<size_t>(a)][static_cast<size_t>(s)];
-    }
-    rep.effective_rate[static_cast<size_t>(u)] = eff;
-    sum_eff += eff;
-  }
-  rep.mean_effective_rate =
-      rep.satisfied_users > 0 ? sum_eff / rep.satisfied_users : 0.0;
-  return rep;
-}
-
 wlan::MultiAssociation augment_to_k(const wlan::Scenario& sc,
                                     const wlan::Association& base,
                                     const wlan::LoadReport& base_loads,

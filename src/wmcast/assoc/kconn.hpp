@@ -21,12 +21,12 @@
 //
 // Because every phase reads only the base association, the scenario CSR and
 // the previous phase's output, the rule needs no shared mutable state: it is
-// trivially deterministic, bitwise identical at any thread count, and — the
-// point of PR 10 — repairable per dirty region with exact equality to a cold
-// re-derivation (ctrl/controller.cpp maintains the plan/overlay/tx tables
-// incrementally and the chaos kconn-incremental oracle byte-checks them
-// against this cold path every epoch). k == 1 stays bit-identical to every
-// legacy solver by construction: the overlay is never materialized.
+// trivially deterministic, bitwise identical at any thread count, and
+// repairable per dirty region with exact equality to a cold re-derivation
+// (ctrl/controller.cpp maintains the plan/overlay/tx tables by that repair
+// alone, and the chaos kconn-incremental oracle byte-checks them against
+// augment_to_k every epoch). k == 1 stays bit-identical to every legacy
+// solver by construction: the overlay is never materialized.
 #pragma once
 
 #include <vector>
@@ -132,14 +132,9 @@ void kconn_settle_ap(const wlan::Scenario& sc, const wlan::LoadReport& base_load
                      const KconnParams& params, const KconnPlan& plan,
                      const wlan::MultiAssociation& multi, int a, double* tx_row);
 
-/// Phase 4: folds a settled tx table into a MultiLoadReport in exactly
-/// compute_multi_loads' accumulation order (APs ascending, sessions
-/// ascending, users ascending), so the result is bitwise identical to
-/// compute_multi_loads(sc, multi, ...) whenever `tx` matches the reference
-/// min-rate fold — which the settle phase guarantees by construction.
-wlan::MultiLoadReport kconn_collect_loads(const wlan::Scenario& sc,
-                                          const wlan::MultiAssociation& multi,
-                                          const std::vector<std::vector<double>>& tx);
+// Phase 4, the load report, is wlan::multi_loads_from_tx on the settled tx
+// table: the settle phase reproduces compute_multi_loads' min-rate fold by
+// construction, so the report is bitwise compute_multi_loads'.
 
 /// Cold path: grows `base` (a legacy single-AP association) into per-user
 /// served-sets of up to params.k APs by running phases 1-2 over the whole

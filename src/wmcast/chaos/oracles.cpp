@@ -771,13 +771,12 @@ std::vector<OracleResult> check_kconn_incremental(const wlan::Scenario& sc,
                                                   int n_threads) {
   std::vector<OracleResult> out;
 
-  // (a) Per-epoch incremental-vs-cold + threads 1-vs-N at k=2 with the
-  // persistent engine on. The cold side is re-derived from each controller's
-  // own committed state, so any drift is the incremental engine's.
+  // (a) Per-epoch incremental-vs-cold + threads 1-vs-N at k=2. The cold side
+  // is re-derived from each controller's own committed state, so any drift
+  // is the incremental engine's.
   ctrl::ControllerConfig c1 = cfg;
   c1.k = std::max(2, cfg.k);
   c1.threads = 1;
-  c1.kconn_incremental = true;
   ctrl::ControllerConfig cn = c1;
   cn.threads = n_threads;
   ctrl::AssociationController inc1(sc, c1);

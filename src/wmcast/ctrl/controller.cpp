@@ -49,6 +49,26 @@ AssociationController::AssociationController(const wlan::Scenario& initial,
   tele_.total_load.set(loads_.total_load);
   tele_.max_load.set(loads_.max_load);
   tele_.baseline_load.set(baseline_load_);
+  if (cfg_.k >= 2) {
+    // The overlay's stores are sized once (the AP and session counts and the
+    // pool are fixed for the controller's life), and its first derivation is
+    // the dirty-region repair with every AP (its pmin row rescanned) and every
+    // slot dirty.
+    const int n_aps = epoch_sc_.n_aps();
+    kconn_plan_.resize(n_aps, epoch_sc_.n_sessions());
+    multi_loads_.tx_rate.assign(
+        static_cast<size_t>(n_aps),
+        std::vector<double>(static_cast<size_t>(epoch_sc_.n_sessions()), 0.0));
+    kconn_lanes_.resize(static_cast<size_t>(pool_.size()));
+    kconn_dirty_aps_.resize(static_cast<size_t>(n_aps));
+    std::iota(kconn_dirty_aps_.begin(), kconn_dirty_aps_.end(), 0);
+    kconn_rescan_aps_ = kconn_dirty_aps_;
+    kconn_ap_mark_.assign(kconn_dirty_aps_.size(), 1);
+    kconn_rescan_mark_.assign(kconn_dirty_aps_.size(), 1);
+    kconn_dirty_slots_.resize(static_cast<size_t>(state_.n_slots()));
+    std::iota(kconn_dirty_slots_.begin(), kconn_dirty_slots_.end(), 0);
+    kconn_slot_mark_.assign(kconn_dirty_slots_.size(), 1);
+  }
   refresh_multi(nullptr);
 }
 
@@ -70,26 +90,10 @@ void AssociationController::kconn_mark_dirty(const NetworkState& next,
   kconn_settle_hint_.clear();
   for (const int a : kconn_rescan_aps_) kconn_rescan_mark_[static_cast<size_t>(a)] = 0;
   kconn_rescan_aps_.clear();
-  kconn_rate_changed_ = false;
-  if (!multi_valid_) return;  // nothing to repair; the first derivation is cold
 
-  for (int t = 0; t < next.n_sessions(); ++t) {
-    if (t >= state_.n_sessions() || next.session_rate(t) != state_.session_rate(t)) {
-      // Stream rates feed every plan row's budget estimate and every load
-      // fold; no local region bounds the effect. Rebuild cold.
-      kconn_rate_changed_ = true;
-      return;
-    }
-  }
-
-  if (kconn_ap_mark_.size() < static_cast<size_t>(next.n_aps())) {
-    kconn_ap_mark_.resize(static_cast<size_t>(next.n_aps()), 0);
-  }
+  // The AP marks were sized by the constructor; joins can add slots.
   if (kconn_slot_mark_.size() < static_cast<size_t>(next.n_slots())) {
     kconn_slot_mark_.resize(static_cast<size_t>(next.n_slots()), 0);
-  }
-  if (kconn_rescan_mark_.size() < static_cast<size_t>(next.n_aps())) {
-    kconn_rescan_mark_.resize(static_cast<size_t>(next.n_aps()), 0);
   }
   const auto mark_ap = [&](int a) {
     if (!kconn_ap_mark_[static_cast<size_t>(a)]) {
@@ -104,16 +108,26 @@ void AssociationController::kconn_mark_dirty(const NetworkState& next,
     }
   };
 
-  // Persistent pmin maintenance (kconn_plan_.pmin/pcount are valid here
-  // because multi_valid_ holds and session/AP counts are epoch-stable). A
-  // hearer ARRIVING in the (a, session) adopter pool can only lower the min —
-  // an exact O(1) fold. A hearer DEPARTING can only raise it, and only if it
-  // was the LAST member sitting at the min (802.11 rates are coarsely
-  // quantized, so the min is usually shared — pcount tracks the tie), in
-  // which case the row is queued for a full rescan at refresh time (after
-  // commit, against the new projection). Everything else is an O(1) no-op.
-  // This is what lets the incremental path re-plan a dirty AP in O(sessions)
-  // instead of re-scanning its ~membership-sized CSR row.
+  // A stream-rate change moves no link and no tx rate, so pmin holds; it
+  // moves every AP's load, and with it the budget gate on silent streams.
+  // Re-plan every AP; the repair re-derives the rows whose plan entry moved.
+  for (int t = 0; t < next.n_sessions(); ++t) {
+    if (next.session_rate(t) != state_.session_rate(t)) {
+      for (int a = 0; a < next.n_aps(); ++a) mark_ap(a);
+      break;
+    }
+  }
+
+  // Persistent pmin maintenance (kconn_plan_.pmin/pcount are valid here: the
+  // constructor's first derivation scanned every row, and session/AP counts
+  // are epoch-stable). A hearer ARRIVING in the (a, session) adopter pool can
+  // only lower the min — an exact O(1) fold. A hearer DEPARTING can only
+  // raise it, and only if it was the LAST member sitting at the min (802.11
+  // rates are coarsely quantized, so the min is usually shared — pcount
+  // tracks the tie), in which case the row is queued for a full rescan at
+  // refresh time (after commit, against the new projection). Everything else
+  // is an O(1) no-op. This is what lets the repair re-plan a dirty AP in
+  // O(sessions) instead of re-scanning its ~membership-sized CSR row.
   const auto mark_rescan = [&](int a) {
     if (!kconn_rescan_mark_[static_cast<size_t>(a)]) {
       kconn_rescan_mark_[static_cast<size_t>(a)] = 1;
@@ -258,8 +272,8 @@ void AssociationController::kconn_mark_dirty(const NetworkState& next,
 
 void AssociationController::refresh_multi(EpochReport* rep) {
   if (cfg_.k < 2) return;
-  // Every exit path (quiescent, cold, incremental) accumulates into
-  // kconn_seconds_ so benches can isolate the overlay step's cost.
+  // Both exit paths (quiescent, repair) accumulate into kconn_seconds_ so
+  // benches can isolate the overlay step's cost.
   struct Timer {
     double* acc;
     std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
@@ -275,8 +289,7 @@ void AssociationController::refresh_multi(EpochReport* rep) {
   // change, no committed AP change, no rate change), so the cached overlay,
   // tx table and load report are all still exact — including across rejected
   // admissions and other invisible-slot churn.
-  if (multi_valid_ && !kconn_rate_changed_ && kconn_dirty_aps_.empty() &&
-      kconn_dirty_slots_.empty()) {
+  if (kconn_dirty_aps_.empty() && kconn_dirty_slots_.empty()) {
     // Slots this epoch added (say, by a refused join) want no service.
     multi_assoc_.user_aps.resize(static_cast<size_t>(n));
     multi_loads_.effective_rate.resize(static_cast<size_t>(n), 0.0);
@@ -292,202 +305,173 @@ void AssociationController::refresh_multi(EpochReport* rep) {
   kp.multi_rate = cfg_.multi_rate;
   kp.enforce_budget = true;  // the controller always holds APs to their budget
 
-  if (kconn_plan_.n_aps != n_aps ||
-      kconn_plan_.n_sessions != epoch_sc_.n_sessions()) {
-    kconn_plan_.resize(n_aps, epoch_sc_.n_sessions());
-    kconn_tx_.assign(static_cast<size_t>(n_aps),
-                     std::vector<double>(
-                         static_cast<size_t>(epoch_sc_.n_sessions()), 0.0));
-  }
-  if (kconn_lanes_.size() < static_cast<size_t>(pool_.size())) {
-    kconn_lanes_.resize(static_cast<size_t>(pool_.size()));
+  // Dirty-region repair (DESIGN.md §16), the only way the overlay is ever
+  // derived: the constructor runs it with every AP and slot dirty.
+  // Correctness rests on the marking invariants (kconn_mark_dirty): every AP
+  // whose plan inputs moved is in kconn_dirty_aps_ with its pmin row
+  // delta-maintained (or queued for rescan), and every slot whose served-set
+  // inputs moved is in kconn_dirty_slots_ or hears a changed plan row.
+  //
+  // 1. Refresh the plan rows of the dirty APs: rescan the pmin row only
+  //    where a departure delta may have removed the min, then re-derive
+  //    advert/startable in O(sessions) from the maintained pmin. Track
+  //    which (AP, session) plan entries actually CHANGED: derivation reads
+  //    nothing of an AP but its plan entries for the user's own session, so
+  //    a dirty AP whose re-planned entry is bitwise unchanged cannot move
+  //    any clean hearer's served-set (hearers whose own heard-set, links or
+  //    primary moved have dirty slots and enter U through them). This is
+  //    what keeps the blast radius of a move — which dirties every AP in
+  //    hearing range — from pulling the whole neighborhood into U.
+  const int n_sessions = epoch_sc_.n_sessions();
+  std::vector<int> changed_aps;
+  std::vector<std::pair<int, int>> changed_pairs;  // (ap, session), ap-major
+  std::vector<double> prev_advert(static_cast<size_t>(n_sessions));
+  std::vector<char> prev_startable(static_cast<size_t>(n_sessions));
+  for (const int a : kconn_dirty_aps_) {
+    const size_t row = kconn_plan_.at(a, 0);
+    std::copy_n(kconn_plan_.advert.begin() + static_cast<ptrdiff_t>(row),
+                n_sessions, prev_advert.begin());
+    std::copy_n(kconn_plan_.startable.begin() + static_cast<ptrdiff_t>(row),
+                n_sessions, prev_startable.begin());
+    if (kconn_rescan_mark_[static_cast<size_t>(a)]) {
+      assoc::kconn_scan_pmin(epoch_sc_, assoc_, a, kconn_plan_);
+    }
+    assoc::kconn_plan_from_pmin(epoch_sc_, loads_, kp, a, kconn_plan_);
+    bool changed = false;
+    for (int s = 0; s < n_sessions; ++s) {
+      if (kconn_plan_.advert[row + static_cast<size_t>(s)] !=
+              prev_advert[static_cast<size_t>(s)] ||
+          kconn_plan_.startable[row + static_cast<size_t>(s)] !=
+              prev_startable[static_cast<size_t>(s)]) {
+        changed_pairs.emplace_back(a, s);
+        changed = true;
+      }
+    }
+    if (changed) changed_aps.push_back(a);
   }
 
-  const bool cold =
-      !multi_valid_ || kconn_rate_changed_ || !cfg_.kconn_incremental;
-  if (cold) {
-    // Serial full re-derivation: plan every AP, derive every row, settle
-    // every AP. This is the reference the chaos oracle and the bench cold leg
-    // compare the incremental path against.
-    for (int a = 0; a < n_aps; ++a) {
-      assoc::kconn_plan_ap(epoch_sc_, assoc_, loads_, kp, a, kconn_plan_);
+  // 2. The dirty rows U: the dirty slots (a departed one re-derives to an
+  //    empty set), plus rows hearing a changed (AP, session) plan entry FOR
+  //    THEIR OWN SESSION (a served-set can only contain heard APs, a user
+  //    only reads its session's plan entries, and a clean slot's heard-set
+  //    did not change — so U covers every row whose derivation inputs
+  //    moved).
+  std::vector<char> row_dirty(static_cast<size_t>(n), 0);
+  for (const int s : kconn_dirty_slots_) row_dirty[static_cast<size_t>(s)] = 1;
+  for (size_t i = 0; i < changed_pairs.size();) {
+    const int a = changed_pairs[i].first;
+    size_t j = i;
+    while (j < changed_pairs.size() && changed_pairs[j].first == a) ++j;
+    const wlan::IndexSpan members = epoch_sc_.users_of_ap(a);
+    for (size_t m = 0; m < members.size(); ++m) {
+      const int r = members[m];
+      if (row_dirty[static_cast<size_t>(r)]) continue;
+      const int us = epoch_sc_.user_session(r);
+      for (size_t t = i; t < j; ++t) {
+        if (changed_pairs[t].second == us) {
+          row_dirty[static_cast<size_t>(r)] = 1;
+          break;
+        }
+      }
     }
-    multi_assoc_.user_aps.resize(static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      assoc::kconn_derive_user(epoch_sc_, assoc_, kconn_plan_, kp, r,
-                               multi_assoc_.user_aps[static_cast<size_t>(r)],
-                               kconn_lanes_[0]);
+    i = j;
+  }
+  std::vector<int> dirty_rows;
+  for (int r = 0; r < n; ++r) {
+    if (row_dirty[static_cast<size_t>(r)]) dirty_rows.push_back(r);
+  }
+
+  // 3. Settle set: every AP whose settle inputs can have moved — a changed
+  //    plan row (changed_aps), a changed base tx / membership (the old and
+  //    new primaries of dirty slots, collected by kconn_mark_dirty), or a
+  //    changed adopter contribution, which dirty rows mark after
+  //    derivation, and only when it actually moved. A dirty AP outside
+  //    these sets kept its plan row, base tx, members' links and members'
+  //    serves, so its settled tx row is unchanged by construction.
+  std::vector<char> settle_mark(static_cast<size_t>(n_aps), 0);
+  std::vector<int> settle_aps;
+  const auto mark_settle = [&](int a) {
+    if (!settle_mark[static_cast<size_t>(a)]) {
+      settle_mark[static_cast<size_t>(a)] = 1;
+      settle_aps.push_back(a);
     }
-    for (int a = 0; a < n_aps; ++a) {
-      assoc::kconn_settle_ap(epoch_sc_, loads_, kp, kconn_plan_, multi_assoc_,
-                             a, kconn_tx_[static_cast<size_t>(a)].data());
+  };
+  for (const int a : changed_aps) mark_settle(a);
+  for (const int a : kconn_settle_hint_) mark_settle(a);
+
+  // 4. Re-derive the dirty rows in parallel over AP-connected components
+  //    (disjoint row sets -> disjoint writes, fixed task order -> bitwise
+  //    identical at any thread count; per-phase inputs are all read-only).
+  //    Carried rows keep their served-sets untouched; a dirty row's old
+  //    set moves aside for the comparison below.
+  multi_assoc_.user_aps.resize(static_cast<size_t>(n));
+  std::vector<std::vector<int>> old_served(dirty_rows.size());
+  for (size_t i = 0; i < dirty_rows.size(); ++i) {
+    old_served[i].swap(multi_assoc_.user_aps[static_cast<size_t>(dirty_rows[i])]);
+  }
+  ComponentTasks tasks;
+  std::vector<int> isolated;
+  build_component_tasks(epoch_sc_, dirty_rows, tasks, isolated);
+  pool_.parallel_for(
+      0, static_cast<int64_t>(tasks.order.size()),
+      [&](int64_t b, int64_t e, int lane) {
+        for (int64_t i = b; i < e; ++i) {
+          const int t = tasks.order[static_cast<size_t>(i)];
+          for (const int r : tasks.rows[static_cast<size_t>(t)]) {
+            assoc::kconn_derive_user(
+                epoch_sc_, assoc_, kconn_plan_, kp, r,
+                multi_assoc_.user_aps[static_cast<size_t>(r)],
+                kconn_lanes_[static_cast<size_t>(lane)]);
+          }
+        }
+      });
+  for (const int r : isolated) {
+    assoc::kconn_derive_user(epoch_sc_, assoc_, kconn_plan_, kp, r,
+                             multi_assoc_.user_aps[static_cast<size_t>(r)],
+                             kconn_lanes_[0]);
+  }
+  // Re-derived rows settle-mark their old AND new served APs — but only
+  // when the adopter contribution moved: a row pulled into U by a changed
+  // plan entry that re-derives the identical served-set, with its record
+  // (and hence its link rates) untouched, contributes the same rate to the
+  // same adopter mins as before. Dirty SLOTS always mark: their links may
+  // have changed even where the served-set did not.
+  int repaired = 0;  // counted over the slots that want service
+  for (size_t i = 0; i < dirty_rows.size(); ++i) {
+    const int r = dirty_rows[i];
+    const auto& fresh = multi_assoc_.user_aps[static_cast<size_t>(r)];
+    if (kconn_slot_mark_[static_cast<size_t>(r)] != 0 || old_served[i] != fresh) {
+      for (const int a : old_served[i]) mark_settle(a);
+      for (const int a : fresh) mark_settle(a);
     }
+    if (state_.slot(r).wants_service()) ++repaired;
+  }
+
+  // 5. Re-settle only the touched APs of the kept tx table; every other tx
+  //    row's inputs (its members, their served flags, its base tx and plan
+  //    row) are unmoved.
+  for (const int a : settle_aps) {
+    assoc::kconn_settle_ap(epoch_sc_, loads_, kp, kconn_plan_, multi_assoc_, a,
+                           multi_loads_.tx_rate[static_cast<size_t>(a)].data());
+  }
+
+  if (rep == nullptr) {
+    // The constructor's first derivation counts apart from the epochs'
+    // repairs.
     tele_.engine_kconn_rebuilds.inc();
-    if (rep != nullptr) rep->kconn_rebuild = true;
   } else {
-    // Incremental dirty-region repair (DESIGN.md §16). Correctness rests on
-    // the marking invariants (kconn_mark_dirty): every AP whose plan inputs
-    // moved is in kconn_dirty_aps_ with its pmin row delta-maintained (or
-    // queued for rescan), and every slot whose served-set inputs moved is in
-    // kconn_dirty_slots_ or hears a changed plan row.
-    //
-    // 1. Refresh the plan rows of the dirty APs: rescan the pmin row only
-    //    where a departure delta may have removed the min, then re-derive
-    //    advert/startable in O(sessions) from the maintained pmin. Track
-    //    which (AP, session) plan entries actually CHANGED: derivation reads
-    //    nothing of an AP but its plan entries for the user's own session, so
-    //    a dirty AP whose re-planned entry is bitwise unchanged cannot move
-    //    any clean hearer's served-set (hearers whose own heard-set, links or
-    //    primary moved have dirty slots and enter U through them). This is
-    //    what keeps the blast radius of a move — which dirties every AP in
-    //    hearing range — from pulling the whole neighborhood into U.
-    const int n_sessions = epoch_sc_.n_sessions();
-    std::vector<int> changed_aps;
-    std::vector<std::pair<int, int>> changed_pairs;  // (ap, session), ap-major
-    std::vector<double> prev_advert(static_cast<size_t>(n_sessions));
-    std::vector<char> prev_startable(static_cast<size_t>(n_sessions));
-    for (const int a : kconn_dirty_aps_) {
-      const size_t row = kconn_plan_.at(a, 0);
-      std::copy_n(kconn_plan_.advert.begin() + static_cast<ptrdiff_t>(row),
-                  n_sessions, prev_advert.begin());
-      std::copy_n(kconn_plan_.startable.begin() + static_cast<ptrdiff_t>(row),
-                  n_sessions, prev_startable.begin());
-      if (kconn_rescan_mark_[static_cast<size_t>(a)]) {
-        assoc::kconn_scan_pmin(epoch_sc_, assoc_, a, kconn_plan_);
-      }
-      assoc::kconn_plan_from_pmin(epoch_sc_, loads_, kp, a, kconn_plan_);
-      bool changed = false;
-      for (int s = 0; s < n_sessions; ++s) {
-        if (kconn_plan_.advert[row + static_cast<size_t>(s)] !=
-                prev_advert[static_cast<size_t>(s)] ||
-            kconn_plan_.startable[row + static_cast<size_t>(s)] !=
-                prev_startable[static_cast<size_t>(s)]) {
-          changed_pairs.emplace_back(a, s);
-          changed = true;
-        }
-      }
-      if (changed) changed_aps.push_back(a);
-    }
-
-    // 2. The dirty rows U: the dirty slots (a departed one re-derives to an
-    //    empty set), plus rows hearing a changed (AP, session) plan entry FOR
-    //    THEIR OWN SESSION (a served-set can only contain heard APs, a user
-    //    only reads its session's plan entries, and a clean slot's heard-set
-    //    did not change — so U covers every row whose derivation inputs
-    //    moved).
-    std::vector<char> row_dirty(static_cast<size_t>(n), 0);
-    for (const int s : kconn_dirty_slots_) row_dirty[static_cast<size_t>(s)] = 1;
-    for (size_t i = 0; i < changed_pairs.size();) {
-      const int a = changed_pairs[i].first;
-      size_t j = i;
-      while (j < changed_pairs.size() && changed_pairs[j].first == a) ++j;
-      const wlan::IndexSpan members = epoch_sc_.users_of_ap(a);
-      for (size_t m = 0; m < members.size(); ++m) {
-        const int r = members[m];
-        if (row_dirty[static_cast<size_t>(r)]) continue;
-        const int us = epoch_sc_.user_session(r);
-        for (size_t t = i; t < j; ++t) {
-          if (changed_pairs[t].second == us) {
-            row_dirty[static_cast<size_t>(r)] = 1;
-            break;
-          }
-        }
-      }
-      i = j;
-    }
-    std::vector<int> dirty_rows;
-    for (int r = 0; r < n; ++r) {
-      if (row_dirty[static_cast<size_t>(r)]) dirty_rows.push_back(r);
-    }
-
-    // 3. Settle set: every AP whose settle inputs can have moved — a changed
-    //    plan row (changed_aps), a changed base tx / membership (the old and
-    //    new primaries of dirty slots, collected by kconn_mark_dirty), or a
-    //    changed adopter contribution, which dirty rows mark after
-    //    derivation, and only when it actually moved. A dirty AP outside
-    //    these sets kept its plan row, base tx, members' links and members'
-    //    serves, so its settled tx row is unchanged by construction.
-    std::vector<char> settle_mark(static_cast<size_t>(n_aps), 0);
-    std::vector<int> settle_aps;
-    const auto mark_settle = [&](int a) {
-      if (!settle_mark[static_cast<size_t>(a)]) {
-        settle_mark[static_cast<size_t>(a)] = 1;
-        settle_aps.push_back(a);
-      }
-    };
-    for (const int a : changed_aps) mark_settle(a);
-    for (const int a : kconn_settle_hint_) mark_settle(a);
-
-    // 4. Re-derive the dirty rows in parallel over AP-connected components
-    //    (disjoint row sets -> disjoint writes, fixed task order -> bitwise
-    //    identical at any thread count; per-phase inputs are all read-only).
-    //    Carried rows keep their served-sets untouched; a dirty row's old
-    //    set moves aside for the comparison below.
-    multi_assoc_.user_aps.resize(static_cast<size_t>(n));
-    std::vector<std::vector<int>> old_served(dirty_rows.size());
-    for (size_t i = 0; i < dirty_rows.size(); ++i) {
-      old_served[i].swap(multi_assoc_.user_aps[static_cast<size_t>(dirty_rows[i])]);
-    }
-    ComponentTasks tasks;
-    std::vector<int> isolated;
-    build_component_tasks(epoch_sc_, dirty_rows, tasks, isolated);
-    pool_.parallel_for(
-        0, static_cast<int64_t>(tasks.order.size()),
-        [&](int64_t b, int64_t e, int lane) {
-          for (int64_t i = b; i < e; ++i) {
-            const int t = tasks.order[static_cast<size_t>(i)];
-            for (const int r : tasks.rows[static_cast<size_t>(t)]) {
-              assoc::kconn_derive_user(
-                  epoch_sc_, assoc_, kconn_plan_, kp, r,
-                  multi_assoc_.user_aps[static_cast<size_t>(r)],
-                  kconn_lanes_[static_cast<size_t>(lane)]);
-            }
-          }
-        });
-    for (const int r : isolated) {
-      assoc::kconn_derive_user(epoch_sc_, assoc_, kconn_plan_, kp, r,
-                               multi_assoc_.user_aps[static_cast<size_t>(r)],
-                               kconn_lanes_[0]);
-    }
-    // Re-derived rows settle-mark their old AND new served APs — but only
-    // when the adopter contribution moved: a row pulled into U by a changed
-    // plan entry that re-derives the identical served-set, with its record
-    // (and hence its link rates) untouched, contributes the same rate to the
-    // same adopter mins as before. Dirty SLOTS always mark: their links may
-    // have changed even where the served-set did not.
-    int repaired = 0;  // counted over the slots that want service
-    for (size_t i = 0; i < dirty_rows.size(); ++i) {
-      const int r = dirty_rows[i];
-      const auto& fresh = multi_assoc_.user_aps[static_cast<size_t>(r)];
-      if (kconn_slot_mark_[static_cast<size_t>(r)] != 0 || old_served[i] != fresh) {
-        for (const int a : old_served[i]) mark_settle(a);
-        for (const int a : fresh) mark_settle(a);
-      }
-      if (state_.slot(r).wants_service()) ++repaired;
-    }
-
-    // 5. Re-settle only the touched APs; every other tx row's inputs (its
-    //    members, their served flags, its base tx and plan row) are unmoved.
-    for (const int a : settle_aps) {
-      assoc::kconn_settle_ap(epoch_sc_, loads_, kp, kconn_plan_, multi_assoc_,
-                             a, kconn_tx_[static_cast<size_t>(a)].data());
-    }
-
     const int carried = state_.n_active() - repaired;
     tele_.engine_kconn_repairs.inc();
     tele_.engine_kconn_repaired_users.inc(static_cast<uint64_t>(repaired));
     tele_.engine_kconn_carried_users.inc(static_cast<uint64_t>(carried));
-    if (rep != nullptr) {
-      rep->kconn_repaired_users = repaired;
-      rep->kconn_carried_users = carried;
-    }
+    rep->kconn_repaired_users = repaired;
+    rep->kconn_carried_users = carried;
   }
 
-  // 6. Fold the settled tx table into the load report in the reference
-  //    accumulation order — bitwise identical to compute_multi_loads on both
-  //    paths.
-  multi_loads_ = assoc::kconn_collect_loads(epoch_sc_, multi_assoc_, kconn_tx_);
-  multi_valid_ = true;
+  // 6. Fold the settled tx table into the load report — bitwise identical to
+  //    compute_multi_loads on the same overlay.
+  multi_loads_ = wlan::multi_loads_from_tx(epoch_sc_, multi_assoc_,
+                                           std::move(multi_loads_.tx_rate));
   if (rep != nullptr) {
     rep->multi_served_users = multi_loads_.multi_served_users;
     rep->mean_effective_rate = multi_loads_.mean_effective_rate;

@@ -98,18 +98,14 @@ struct ControllerConfig {
   /// single-AP model: nothing changes, bit for bit. k >= 2 maintains a
   /// k-connectivity overlay (multi_assoc()/multi_loads()) on top of the
   /// committed primary association — a dirty user's whole served-set is the
-  /// repair unit, never a lone secondary link. The committed primary
-  /// association and loads are unchanged at any k.
-  int k = 1;
-  /// Maintain the k >= 2 overlay incrementally (DESIGN.md §16): the stream
-  /// plan, served-set store and settled tx table persist across epochs and
-  /// only the dirty region — users whose served-set intersects a dirty AP or
-  /// who moved/churned — is re-derived, in parallel over AP-connected
-  /// components of the pool. Bitwise identical to the cold re-derivation at
+  /// repair unit, never a lone secondary link. The overlay is maintained by
+  /// a dirty-region repair only (DESIGN.md §16): the stream plan, served-set
+  /// store and settled tx table persist across epochs, and only users whose
+  /// served-set inputs moved are re-derived, in parallel over AP-connected
+  /// components of the pool. Bitwise identical to a cold re-derivation at
   /// any thread count (the chaos kconn-incremental oracle byte-checks this).
-  /// false = re-derive the whole overlay every non-quiescent epoch (the cold
-  /// reference path, kept for benches and differential tests).
-  bool kconn_incremental = true;
+  /// The committed primary association and loads are unchanged at any k.
+  int k = 1;
 };
 
 /// What one drain()/epoch did, for logs and benches. Cumulative counterparts
@@ -148,12 +144,10 @@ struct EpochReport {
   int multi_served_users = 0;
   double mean_effective_rate = 0.0;
   // Overlay maintenance this epoch: users re-derived vs carried untouched by
-  // the dirty-region repair, and whether a cold full re-derivation ran. A
-  // kconn-quiescent epoch (nothing dirty) reports all zeros and keeps the
-  // cached overlay.
+  // the dirty-region repair. A kconn-quiescent epoch (nothing dirty) reports
+  // zeros and keeps the cached overlay.
   int kconn_repaired_users = 0;
   int kconn_carried_users = 0;
-  bool kconn_rebuild = false;
 };
 
 class AssociationController {
@@ -193,8 +187,8 @@ class AssociationController {
   const wlan::MultiAssociation& multi_assoc() const { return multi_assoc_; }
   const wlan::MultiLoadReport& multi_loads() const { return multi_loads_; }
   int k() const { return cfg_.k; }
-  /// Cumulative wall seconds spent in refresh_multi (overlay repair/rebuild),
-  /// including the constructor's cold build. Diagnostics for benches that
+  /// Cumulative wall seconds spent in refresh_multi (overlay repair),
+  /// including the constructor's first derivation. Diagnostics for benches that
   /// isolate the overlay step from base repair; deliberately NOT part of
   /// telemetry so modeled-serve telemetry stays a pure function of the
   /// workload (the CI byte-diff legs depend on that).
@@ -219,23 +213,24 @@ class AssociationController {
   ChangeCount count_changes(const std::vector<int>& old_slot_ap,
                             const std::vector<int>& new_slot_ap,
                             const wlan::Scenario& sc) const;
-  /// Re-derives the k-connectivity overlay from the committed association
-  /// (no-op at k == 1; kconn-quiescent epochs reuse the cached overlay).
-  /// Called with null from the constructor, with the epoch report from
-  /// drain(). Cold path (first derivation, session-rate change, or
-  /// cfg_.kconn_incremental off): serial full re-derivation. Incremental
-  /// path: re-plan dirty APs, re-derive only dirty rows (in parallel over
-  /// AP-connected components), leave every other row's served-set
-  /// untouched, re-settle only touched APs. Both paths produce bitwise
-  /// identical overlays and load reports.
+  /// Repairs the k-connectivity overlay's dirty region against the
+  /// committed association (no-op at k == 1; kconn-quiescent epochs reuse
+  /// the cached overlay): re-plan the dirty APs, re-derive only the dirty
+  /// rows (in parallel over AP-connected components), leave every other
+  /// row's served-set untouched, re-settle only the touched APs, and fold the
+  /// kept tx table into the load report. Called from drain() with the epoch
+  /// report, and once from the constructor with null after it marks every AP
+  /// (with a pmin scan) and every slot dirty — so the first derivation is
+  /// this same repair, counted as telemetry's one engine_kconn_rebuilds.
   void refresh_multi(EpochReport* rep);
   /// Translates this epoch's applied slot deltas into kconn dirty marks
   /// (dirty APs whose stream plan may change + dirty slots whose served-set
   /// must be re-derived). Runs during drain() while the PRE-commit state_ /
   /// epoch_sc_ / assoc_ and the post-epoch `next` / `sc` / `cand` coexist:
   /// a slot's old links are row s of epoch_sc_, its new links row s of
-  /// `sc`. A session-rate change sets kconn_rate_changed_ (cold rebuild:
-  /// rates feed every stream's cost and advertised floor).
+  /// `sc`. A session-rate change marks every AP dirty without a pmin rescan:
+  /// it moves every AP's load (the budget gate on silent streams) but no
+  /// link rate.
   void kconn_mark_dirty(const NetworkState& next, const wlan::Scenario& sc,
                         const wlan::Association& cand);
 
@@ -260,19 +255,17 @@ class AssociationController {
   RepairShardStats last_repair_stats_;
 
   // k-connectivity overlay state (cfg_.k >= 2 only). The persistent engine
-  // (DESIGN.md §16) keeps its cross-epoch stores by AP (the stream plan and
-  // settled tx) and by slot (the served-sets in multi_assoc_, whose carried
-  // rows an epoch leaves untouched).
+  // (DESIGN.md §16) keeps its cross-epoch stores by AP (the stream plan, and
+  // the settled tx table in multi_loads_.tx_rate) and by slot (the
+  // served-sets in multi_assoc_, whose carried rows an epoch leaves
+  // untouched).
   wlan::MultiAssociation multi_assoc_;
   wlan::MultiLoadReport multi_loads_;
-  bool multi_valid_ = false;
   assoc::KconnPlan kconn_plan_;                 // [ap][session] advert/startable
-  std::vector<std::vector<double>> kconn_tx_;   // settled tx, [ap][session]
   std::vector<int> kconn_dirty_aps_;            // this epoch's dirty APs
   std::vector<char> kconn_ap_mark_;
   std::vector<int> kconn_dirty_slots_;          // slots to re-derive
   std::vector<char> kconn_slot_mark_;
-  bool kconn_rate_changed_ = false;             // forces a cold rebuild
   std::vector<int> kconn_settle_hint_;          // old/new primaries of dirty slots
   std::vector<int> kconn_rescan_aps_;           // pmin rows needing a full rescan
   std::vector<char> kconn_rescan_mark_;

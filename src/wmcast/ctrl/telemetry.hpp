@@ -93,7 +93,7 @@ struct Telemetry {
   Counter engine_kconn_repairs;         // dirty-region overlay repairs
   Counter engine_kconn_repaired_users;  // users re-derived across them
   Counter engine_kconn_carried_users;   // users carried untouched across them
-  Counter engine_kconn_rebuilds;        // cold full re-derivations
+  Counter engine_kconn_rebuilds;        // the constructor's first derivation
 
   // Gauges (state as of the last committed epoch).
   Gauge users_present;

@@ -1,7 +1,9 @@
 // User-to-AP association and the induced multicast load model (Definition 1
 // of the paper): an AP transmitting session s to a set of members uses the
 // lowest member link rate, and its load is the sum over transmitted sessions
-// of stream_rate / tx_rate.
+// of stream_rate / tx_rate. The single-AP and the multi-AP load reports fold
+// their tx tables into loads through one per-AP fold, so a multi-association
+// lifted from a single-AP one reports bitwise the same loads.
 #pragma once
 
 #include <algorithm>
@@ -115,5 +117,14 @@ struct MultiLoadReport {
 /// duplicate APs within one user's served-set.
 MultiLoadReport compute_multi_loads(const Scenario& sc, const MultiAssociation& multi,
                                     bool multi_rate = true);
+
+/// The tail of compute_multi_loads: folds an already-settled tx table
+/// ([ap][session], 0 = silent) into the report — per-AP loads in AP order,
+/// then per-user effective rates in user order. Bitwise equal to
+/// compute_multi_loads(sc, multi, ...) whenever `tx` is that report's
+/// tx_rate; the k >= 2 controller calls it on the tx table it keeps across
+/// epochs. Served-sets are not re-validated.
+MultiLoadReport multi_loads_from_tx(const Scenario& sc, const MultiAssociation& multi,
+                                    std::vector<std::vector<double>> tx);
 
 }  // namespace wmcast::wlan

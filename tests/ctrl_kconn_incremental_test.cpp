@@ -1,11 +1,13 @@
 // Incremental k-connectivity overlay (DESIGN.md §16): the persistent kconn
 // engine's dirty-region repair must be bitwise-indistinguishable from a cold
 // augment_to_k + compute_multi_loads re-derivation after every epoch, at any
-// thread count — and quiescent-equivalent epochs (rejected admissions, no-op
-// rate changes, join+leave coalescing) must keep the cached overlay untouched.
+// thread count, stream-rate changes included — and quiescent-equivalent
+// epochs (rejected admissions, no-op rate changes, join+leave coalescing)
+// must keep the cached overlay untouched.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -28,7 +30,8 @@ wlan::Scenario churn_scenario(uint64_t seed) {
   return wlan::generate_scenario(gp, rng);
 }
 
-EventTrace churn_trace(const NetworkState& initial, int epochs, uint64_t seed) {
+EventTrace churn_trace(const NetworkState& initial, int epochs, uint64_t seed,
+                       double rate_change_prob = 0.1) {
   TraceParams tp;
   tp.epochs = epochs;
   tp.move_fraction = 0.15;
@@ -36,7 +39,7 @@ EventTrace churn_trace(const NetworkState& initial, int epochs, uint64_t seed) {
   tp.zap_fraction = 0.05;
   tp.leave_fraction = 0.03;
   tp.join_fraction = 0.05;
-  tp.rate_change_prob = 0.1;
+  tp.rate_change_prob = rate_change_prob;
   util::Rng rng(seed);
   return generate_churn_trace(initial, tp, rng);
 }
@@ -95,6 +98,44 @@ TEST(KconnIncremental, ChurnSweepMatchesColdK2Threads4) { run_sweep(2, 4); }
 TEST(KconnIncremental, ChurnSweepMatchesColdK3Serial) { run_sweep(3, 1); }
 TEST(KconnIncremental, ChurnSweepMatchesColdK3Threads4) { run_sweep(3, 4); }
 
+// A stream-rate change moves no link and no tx rate, only the budget gate on
+// silent streams: an epoch that carries one repairs the overlay's dirty
+// region like any other, and the constructor's first derivation stays the
+// only one counted as a rebuild.
+TEST(KconnIncremental, RateChangeEpochsRepairTheOverlay) {
+  const auto sc = churn_scenario(403);
+  const auto initial = NetworkState::from_scenario(sc);
+  const auto trace = churn_trace(initial, 20, 404, /*rate_change_prob=*/1.0);
+  for (const auto& epoch : trace.epochs) {
+    ASSERT_EQ(std::count_if(epoch.begin(), epoch.end(),
+                            [](const Event& e) {
+                              return e.type == EventType::kRateChange;
+                            }),
+              1);
+  }
+  for (const int k : {2, 3}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " threads=" << threads);
+      ControllerConfig cfg;
+      cfg.k = k;
+      cfg.threads = threads;
+      AssociationController c(sc, cfg);
+      const uint64_t rebuilds = c.telemetry().engine_kconn_rebuilds.value();
+      EXPECT_EQ(rebuilds, 1u);
+      expect_matches_cold(c, cfg, 0);
+      for (size_t ep = 0; ep < trace.epochs.size(); ++ep) {
+        c.submit(trace.epochs[ep]);
+        c.drain();
+        expect_matches_cold(c, cfg, static_cast<int>(ep) + 1);
+      }
+      // Every epoch moved a stream rate, so none was quiescent, and each was
+      // a repair rather than a second derivation from scratch.
+      EXPECT_EQ(c.telemetry().engine_kconn_rebuilds.value(), rebuilds);
+      EXPECT_EQ(c.telemetry().engine_kconn_repairs.value(), trace.epochs.size());
+    }
+  }
+}
+
 TEST(KconnIncremental, SerialAndParallelOverlaysAreBitwiseEqual) {
   const auto sc = churn_scenario(77);
   const auto initial = NetworkState::from_scenario(sc);
@@ -118,8 +159,11 @@ TEST(KconnIncremental, SerialAndParallelOverlaysAreBitwiseEqual) {
     // per-epoch counters must not depend on the pool schedule either.
     ASSERT_EQ(r1.kconn_repaired_users, r4.kconn_repaired_users);
     ASSERT_EQ(r1.kconn_carried_users, r4.kconn_carried_users);
-    ASSERT_EQ(r1.kconn_rebuild, r4.kconn_rebuild);
   }
+  EXPECT_EQ(c1.telemetry().engine_kconn_repairs.value(),
+            c4.telemetry().engine_kconn_repairs.value());
+  EXPECT_EQ(c1.telemetry().engine_kconn_rebuilds.value(),
+            c4.telemetry().engine_kconn_rebuilds.value());
 }
 
 // --- Quiescent-equivalent epochs keep the cached overlay -------------------
@@ -145,7 +189,6 @@ TEST(KconnIncremental, RejectedAdmissionKeepsCachedOverlay) {
   const auto rep = c.drain();
   EXPECT_EQ(rep.rejected_joins, 1);
   EXPECT_EQ(rep.kconn_repaired_users, 0);
-  EXPECT_FALSE(rep.kconn_rebuild);
   EXPECT_EQ(c.telemetry().engine_kconn_repairs.value(), repairs);
   EXPECT_EQ(c.telemetry().engine_kconn_rebuilds.value(), rebuilds);
   // The overlay is indexed by slot: the refused slot 3 gets an empty set.
@@ -165,7 +208,6 @@ TEST(KconnIncremental, NoOpRateChangeKeepsCachedOverlay) {
   const auto rep = c.drain();
   EXPECT_EQ(rep.events_applied, 1);
   EXPECT_EQ(rep.kconn_repaired_users, 0);
-  EXPECT_FALSE(rep.kconn_rebuild);
   EXPECT_EQ(c.telemetry().engine_kconn_repairs.value(), repairs);
   EXPECT_EQ(c.telemetry().engine_kconn_rebuilds.value(), rebuilds);
 }
@@ -181,7 +223,6 @@ TEST(KconnIncremental, JoinPlusLeaveCoalescedKeepsCachedOverlay) {
   c.submit({Event::join(3, {60, 0}, 0), Event::leave(3)});
   const auto rep = c.drain();
   EXPECT_EQ(rep.kconn_repaired_users, 0);
-  EXPECT_FALSE(rep.kconn_rebuild);
   EXPECT_EQ(c.telemetry().engine_kconn_repairs.value(), repairs);
   EXPECT_EQ(c.telemetry().engine_kconn_rebuilds.value(), rebuilds);
   // The overlay is indexed by slot: the departed slot 3 has an empty set.
@@ -198,7 +239,7 @@ TEST(KconnIncremental, RealChurnStillRepairs) {
   AssociationController c(two_ap_scenario(), cfg);
   c.submit({Event::move(2, {130, 0})});
   const auto rep = c.drain();
-  EXPECT_GT(rep.kconn_repaired_users + (rep.kconn_rebuild ? 1 : 0), 0)
+  EXPECT_GT(rep.kconn_repaired_users, 0)
       << "a visible move must re-derive at least the moved user's served-set";
   expect_matches_cold(c, cfg, 1);
 }

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "test_fixtures.hpp"
+#include "wmcast/assoc/kconn.hpp"
+#include "wmcast/assoc/registry.hpp"
+#include "wmcast/util/rng.hpp"
+#include "wmcast/wlan/scenario_generator.hpp"
 
 namespace wmcast::wlan {
 namespace {
@@ -77,6 +81,68 @@ TEST(ComputeLoads, BasicRateModeUsesLowestRateEverywhere) {
   // Multi-rate strictly better on a1: 1/3 + 1/6 < 2/3.
   const LoadReport multi = compute_loads(sc, assoc, /*multi_rate=*/true);
   EXPECT_LT(multi.ap_load[0], rep.ap_load[0]);
+}
+
+void expect_same_multi_loads(const MultiLoadReport& x, const MultiLoadReport& y) {
+  EXPECT_EQ(x.tx_rate, y.tx_rate);
+  EXPECT_EQ(x.ap_load, y.ap_load);
+  EXPECT_EQ(x.effective_rate, y.effective_rate);
+  EXPECT_EQ(x.total_load, y.total_load);
+  EXPECT_EQ(x.max_load, y.max_load);
+  EXPECT_EQ(x.mean_effective_rate, y.mean_effective_rate);
+  EXPECT_EQ(x.satisfied_users, y.satisfied_users);
+  EXPECT_EQ(x.multi_served_users, y.multi_served_users);
+  EXPECT_EQ(x.budget_violations, y.budget_violations);
+}
+
+// The single-AP and multi-AP reports share one per-AP fold: a lifted
+// single-AP association reports bitwise the single-AP loads, and folding a
+// report's own tx table reproduces that report bitwise.
+TEST(ComputeLoads, LiftedMultiLoadsMatchSingle) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    GeneratorParams gp;
+    gp.n_aps = 20;
+    gp.n_users = 150;
+    gp.n_sessions = 4;
+    gp.area_side_m = 500.0;
+    util::Rng rng(seed);
+    const Scenario sc = generate_scenario(gp, rng);
+
+    Association partial = Association::none(sc.n_users());
+    for (int u = 0; u < sc.n_users(); ++u) {
+      const IndexSpan heard = sc.aps_of_user(u);
+      if (heard.size() > 0 && rng.next_bool(0.7)) {
+        partial.user_ap[static_cast<size_t>(u)] =
+            heard[static_cast<size_t>(rng.next_int(static_cast<int>(heard.size())))];
+      }
+    }
+    for (const bool multi_rate : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " multi_rate " << multi_rate);
+      assoc::SolveOptions opt;
+      opt.multi_rate = multi_rate;
+      const Association mla = assoc::solve_by_name("mla-c", sc, rng, opt).assoc;
+      for (const Association& a : {mla, partial}) {
+        const LoadReport single = compute_loads(sc, a, multi_rate);
+        const MultiAssociation lifted = MultiAssociation::from_single(a);
+        const MultiLoadReport multi = compute_multi_loads(sc, lifted, multi_rate);
+        EXPECT_EQ(multi.tx_rate, single.tx_rate);
+        EXPECT_EQ(multi.ap_load, single.ap_load);
+        EXPECT_EQ(multi.total_load, single.total_load);
+        EXPECT_EQ(multi.max_load, single.max_load);
+        EXPECT_EQ(multi.satisfied_users, single.satisfied_users);
+        EXPECT_EQ(multi.budget_violations, single.budget_violations);
+        expect_same_multi_loads(multi_loads_from_tx(sc, lifted, multi.tx_rate), multi);
+
+        // Multi-served users too: a k=2 overlay on the same base.
+        assoc::KconnParams kp;
+        kp.k = 2;
+        kp.multi_rate = multi_rate;
+        const MultiAssociation k2 = assoc::augment_to_k(sc, a, single, kp);
+        const MultiLoadReport r = compute_multi_loads(sc, k2, multi_rate);
+        expect_same_multi_loads(multi_loads_from_tx(sc, k2, r.tx_rate), r);
+      }
+    }
+  }
 }
 
 TEST(ApLoadForMembers, MatchesComputeLoads) {
