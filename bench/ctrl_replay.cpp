@@ -11,7 +11,7 @@
 //     which must stay within the controller's degradation threshold;
 //   * wall-clock per epoch for both paths.
 // It finishes by validating the dumped telemetry JSON against the documented
-// schema (wmcast-ctrl-telemetry/v1).
+// schema (wmcast-ctrl-telemetry/v2).
 //
 // Run: ./ctrl_replay [--epochs=24] [--seed=41] [--move=0.12] [--walk=40]
 //                    [--zap=0.04] [--leave=0.02] [--join=0.02]
@@ -67,9 +67,8 @@ std::string validate_telemetry(const util::Json& j) {
     if (counters->find(key) == nullptr) return std::string("missing counter ") + key;
   }
   const auto* engine = counters->find("engine");
-  if (engine == nullptr || engine->find("incremental_updates") == nullptr ||
-      engine->find("groups_rebuilt") == nullptr) {
-    return "missing engine rebuild-vs-repair counters";
+  if (engine == nullptr || engine->find("full_builds") == nullptr) {
+    return "missing engine full_builds counter";
   }
   const auto* parallel = engine->find("parallel");
   if (parallel == nullptr || parallel->find("solves") == nullptr ||
@@ -228,20 +227,11 @@ int main(int argc, char** argv) {
               "threshold): %s\n", signal_ok ? "MET" : "NOT MET",
               quality_ok ? "MET" : "NOT MET");
 
-  // Engine accounting from telemetry: full solves build their engine from
-  // the epoch's scenario, so the incremental counters stay 0.
+  // Engine accounting from telemetry: every MLA-C full solve builds its
+  // engine from the epoch's scenario.
   const ctrl::Telemetry& ct = controller.telemetry();
-  const int n_aps = controller.scenario().n_aps();
-  std::printf("  engine: %llu full build(s), %llu incremental updates touching "
-              "%llu/%d AP candidate-set rebuilds (%llu sets rebuilt, %llu retired, "
-              "%llu compactions)\n",
-              static_cast<unsigned long long>(ct.engine_full_builds.value()),
-              static_cast<unsigned long long>(ct.engine_incremental_updates.value()),
-              static_cast<unsigned long long>(ct.engine_groups_rebuilt.value()),
-              n_aps * trace.n_epochs(),
-              static_cast<unsigned long long>(ct.engine_sets_rebuilt.value()),
-              static_cast<unsigned long long>(ct.engine_sets_retired.value()),
-              static_cast<unsigned long long>(ct.engine_compactions.value()));
+  std::printf("  engine: %llu full build(s)\n",
+              static_cast<unsigned long long>(ct.engine_full_builds.value()));
 
   // Telemetry dump + schema validation.
   const auto tele = controller.telemetry().to_json();
@@ -278,18 +268,8 @@ int main(int argc, char** argv) {
     j.set("quality_target_met", util::Json(quality_ok));
     j.set("telemetry_valid", util::Json(problem.empty()));
     auto eng = util::Json::object();
-    const auto count = [](const ctrl::Counter& c) {
-      return util::Json(static_cast<int64_t>(c.value()));
-    };
-    eng.set("full_builds", count(ct.engine_full_builds));
-    eng.set("incremental_updates", count(ct.engine_incremental_updates));
-    eng.set("groups_rebuilt", count(ct.engine_groups_rebuilt));
-    eng.set("sets_rebuilt", count(ct.engine_sets_rebuilt));
-    eng.set("sets_retired", count(ct.engine_sets_retired));
-    eng.set("compactions", count(ct.engine_compactions));
-    eng.set("group_rebuild_fraction",
-            util::Json(static_cast<double>(ct.engine_groups_rebuilt.value()) /
-                       std::max(1, n_aps * trace.n_epochs())));
+    eng.set("full_builds",
+            util::Json(static_cast<int64_t>(ct.engine_full_builds.value())));
     j.set("engine", std::move(eng));
     std::ofstream f(json_out);
     f << j.dump(2) << "\n";

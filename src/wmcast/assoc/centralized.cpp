@@ -75,28 +75,16 @@ Solution centralized_mnu(const wlan::Scenario& sc, const CentralizedParams& para
                          EngineContext& ctx) {
   const auto t0 = std::chrono::steady_clock::now();
   ctx.budgets.assign(static_cast<size_t>(ctx.engine.n_groups()), sc.load_budget());
-  std::vector<int> chosen;
+  core::McgResult mcg;
   if (params.pool != nullptr) {
     ctx.shards.build(ctx.engine);
-    const auto mcg =
-        core::parallel_mcg_cover(ctx.engine, *params.pool, ctx.shard_ws, ctx.shards,
-                                 ctx.budgets, params.mnu_augment, &ctx.parallel);
-    chosen = mcg.chosen;
+    mcg = core::parallel_mcg_cover(ctx.engine, *params.pool, ctx.shard_ws, ctx.shards,
+                                   ctx.budgets, params.mnu_augment, &ctx.parallel);
   } else {
-    const auto mcg = core::mcg_cover(ctx.engine, ctx.ws, ctx.budgets);
-    chosen = mcg.chosen;
-    if (params.mnu_augment) {
-      ctx.group_cost.assign(static_cast<size_t>(ctx.engine.n_groups()), 0.0);
-      for (const int j : chosen) {
-        ctx.group_cost[static_cast<size_t>(ctx.engine.group(j))] += ctx.engine.cost(j);
-      }
-      util::DynBitset covered = mcg.covered;
-      const auto added =
-          core::mcg_augment(ctx.engine, ctx.ws, ctx.budgets, ctx.group_cost, covered);
-      chosen.insert(chosen.end(), added.begin(), added.end());
-    }
+    mcg = core::mcg_cover(ctx.engine, ctx.ws, ctx.budgets);
+    if (params.mnu_augment) core::mcg_top_up(ctx.engine, ctx.ws, ctx.budgets, mcg);
   }
-  auto assoc = setcover::materialize(sc, ctx.engine, chosen);
+  auto assoc = setcover::materialize(sc, ctx.engine, mcg.chosen);
   Solution sol = make_solution("MNU-C", sc, std::move(assoc), params.multi_rate);
   // MNU is the budgeted setting: secondary adoptions must respect AP budgets.
   if (params.k >= 2) apply_kconn(sc, params, sol, /*enforce_budget=*/true);

@@ -11,7 +11,7 @@
 // caller builds the engine (EngineContext::build) and the solve reuses the
 // context's workspaces. Repeated solves on one network skip the reduction;
 // a context rebuilt for each new network (the online controller's full
-// solves) reuses its arenas' capacity.
+// solves) reuses its buffers' capacity.
 #pragma once
 
 #include <vector>
@@ -35,7 +35,8 @@ struct CentralizedParams {
   /// false = all multicast at the scenario's basic rate (802.11 standard).
   bool multi_rate = true;
   /// MNU only: after the H1/H2 split, greedily re-add sets that still fit
-  /// their group budgets (coverage can only grow; preserves the 8-approx).
+  /// their group budgets (core::mcg_top_up; coverage can only grow, which
+  /// preserves the 8-approx).
   /// Disable to run the paper's literal algorithm.
   bool mnu_augment = true;
   /// Non-null switches the warm paths to the sharded per-session solves
@@ -54,7 +55,6 @@ struct EngineContext {
   core::CoverageEngine engine;
   core::SolveWorkspace ws;
   std::vector<double> budgets;     // per-group budget scratch (MNU)
-  std::vector<double> group_cost;  // per-group spend scratch (MNU augment)
   core::SessionShards shards;      // per-session partition (parallel path)
   core::ShardWorkspaces shard_ws;  // one workspace per pool lane
   /// Output: shard accounting of the last sharded solve (params.pool set);

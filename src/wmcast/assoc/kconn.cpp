@@ -94,6 +94,10 @@ void kconn_derive_user(const wlan::Scenario& sc, const wlan::Association& base,
   const wlan::RateSpan rates = sc.rates_of_user(u);
   const int cap = std::min(params.k, static_cast<int>(heard.size()));
   const int need = cap - 1;
+  // Reserve the whole set up front: callers hand in empty rows (augment_to_k's
+  // fresh overlay, the controller's swapped-out dirty rows), so growing by
+  // push_back would allocate twice at k = 2.
+  served.reserve(static_cast<size_t>(cap));
   if (need <= 0) {
     served.push_back(primary);
     return;

@@ -124,18 +124,8 @@ McgResult parallel_mcg_cover(const CoverageEngine& eng, util::ThreadPool& pool,
       [&eng, group_budgets, augment](int, SolveWorkspace& ws,
                                      const util::DynBitset& target) {
         McgResult res = mcg_cover(eng, ws, group_budgets, &target);
-        if (augment) {
-          // MNU's post-split augmentation, shard-local: re-add sets that
-          // still fit this shard's (per-channel) group budgets.
-          auto& spent = ws.shard_group_cost;
-          spent.assign(static_cast<size_t>(eng.n_groups()), 0.0);
-          for (const int j : res.chosen) {
-            spent[static_cast<size_t>(eng.group(j))] += eng.cost(j);
-          }
-          const auto added =
-              mcg_augment(eng, ws, group_budgets, spent, res.covered, &target);
-          res.chosen.insert(res.chosen.end(), added.begin(), added.end());
-        }
+        // Shard-local top-up against this shard's (per-channel) budgets.
+        if (augment) mcg_top_up(eng, ws, group_budgets, res, &target);
         return res;
       },
       stats);

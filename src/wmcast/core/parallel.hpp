@@ -18,13 +18,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "wmcast/core/engine.hpp"
-#include "wmcast/util/arena.hpp"
 #include "wmcast/core/solve.hpp"
 #include "wmcast/core/workspace.hpp"
 #include "wmcast/util/bitset.hpp"
@@ -65,48 +63,16 @@ class SessionShards {
   std::vector<std::vector<int>> sessions_;
 };
 
-/// One SolveWorkspace per pool lane, each seated on its own monotonic
-/// util::Arena, reused across sharded solves so the steady state allocates
-/// nothing — and never from the shared heap even while warming up. prepare()
-/// must run before dispatch (it grows the vectors on the calling thread;
-/// lanes only index afterwards). Arenas are declared before the workspaces
-/// and heap-pinned via unique_ptr, so they outlive every container seated on
-/// them and survive vector reallocation.
-struct ShardWorkspaces {
-  std::vector<std::unique_ptr<util::Arena>> arenas;
-  std::vector<SolveWorkspace> ws;
-
-  void prepare(int lanes) {
-    while (arenas.size() < static_cast<size_t>(lanes)) {
-      arenas.push_back(std::make_unique<util::Arena>());
-    }
-    while (ws.size() < static_cast<size_t>(lanes)) {
-      ws.emplace_back(arenas[ws.size()].get());
-    }
-  }
-  SolveWorkspace& lane(int k) { return ws[static_cast<size_t>(k)]; }
-
-  /// Sum of the lanes' arena high-water marks (peak live scratch bytes).
-  size_t arena_high_water_bytes() const {
-    size_t total = 0;
-    for (const auto& a : arenas) total += a->high_water_bytes();
-    return total;
-  }
-  /// Sum of the lanes' reserved arena block capacity.
-  size_t arena_reserved_bytes() const {
-    size_t total = 0;
-    for (const auto& a : arenas) total += a->reserved_bytes();
-    return total;
-  }
-};
+/// One SolveWorkspace per pool lane, reused across sharded solves so the
+/// steady state allocates nothing. parallel_solve_sessions grows it to the
+/// pool's lane count on the calling thread before dispatch; lanes only index.
+using ShardWorkspaces = std::vector<SolveWorkspace>;
 
 /// Per-solve accounting, surfaced as counters.engine.parallel.* telemetry.
 struct ParallelStats {
   int tasks = 0;         // shards dispatched
   int workers = 0;       // pool lanes that received work
   double imbalance = 0.0;  // max shard weight / mean shard weight (1 = balanced)
-  uint64_t arena_high_water_bytes = 0;  // peak live per-shard arena scratch
-  uint64_t arena_reserved_bytes = 0;    // arena block capacity reserved
 };
 
 /// Fills `stats` from a partition + pool (helper for the entry points below).
@@ -125,19 +91,17 @@ std::vector<Result> parallel_solve_sessions(const SessionShards& shards,
                                             ParallelStats* stats = nullptr) {
   const int n = shards.n_shards();
   std::vector<Result> out(static_cast<size_t>(n));
-  wss.prepare(pool.size());
+  if (wss.size() < static_cast<size_t>(pool.size())) {
+    wss.resize(static_cast<size_t>(pool.size()));
+  }
   pool.parallel_for(0, n, [&](int64_t b, int64_t e, int lane) {
-    SolveWorkspace& ws = wss.lane(lane);
+    SolveWorkspace& ws = wss[static_cast<size_t>(lane)];
     for (int64_t k = b; k < e; ++k) {
       out[static_cast<size_t>(k)] =
           solve_shard(static_cast<int>(k), ws, shards.target(static_cast<int>(k)));
     }
   });
-  if (stats != nullptr) {
-    fill_parallel_stats(shards, pool, *stats);
-    stats->arena_high_water_bytes = wss.arena_high_water_bytes();
-    stats->arena_reserved_bytes = wss.arena_reserved_bytes();
-  }
+  if (stats != nullptr) fill_parallel_stats(shards, pool, *stats);
   return out;
 }
 
@@ -158,8 +122,9 @@ CoverResult parallel_greedy_cover(const CoverageEngine& eng, util::ThreadPool& p
                                   ParallelStats* stats = nullptr);
 
 /// Per-shard MCG with the H1/H2 split applied shard-locally; group budgets
-/// apply per shard. With `augment`, each shard greedily re-adds sets that
-/// still fit its budgets (MNU's post-split augmentation).
+/// apply per shard. With `augment`, each shard runs mcg_top_up on its own
+/// target: it greedily re-adds sets that still fit its budgets (MNU's
+/// post-split augmentation).
 McgResult parallel_mcg_cover(const CoverageEngine& eng, util::ThreadPool& pool,
                              ShardWorkspaces& wss, const SessionShards& shards,
                              std::span<const double> group_budgets,

@@ -94,7 +94,7 @@ void init_gains(const CoverageEngine& eng, SolveWorkspace& ws, bool full_target)
   });
 }
 
-void heap_make(util::ArenaVector<HeapEntry>& heap, const HeapLess& less) {
+void heap_make(std::vector<HeapEntry>& heap, const HeapLess& less) {
   std::make_heap(heap.begin(), heap.end(), less);
 }
 
@@ -104,7 +104,7 @@ void heap_make(util::ArenaVector<HeapEntry>& heap, const HeapLess& less) {
 /// front entry touches only the cache-hot top levels — the key cost
 /// difference vs a full pop (which sifts a random *leaf* through every
 /// level) followed by a push.
-void heap_replace_front(util::ArenaVector<HeapEntry>& heap, const HeapLess& less,
+void heap_replace_front(std::vector<HeapEntry>& heap, const HeapLess& less,
                         HeapEntry e) {
   const size_t n = heap.size();
   size_t i = 0;
@@ -120,7 +120,7 @@ void heap_replace_front(util::ArenaVector<HeapEntry>& heap, const HeapLess& less
 }
 
 /// Removes the front (max) entry.
-void heap_drop_front(util::ArenaVector<HeapEntry>& heap, const HeapLess& less) {
+void heap_drop_front(std::vector<HeapEntry>& heap, const HeapLess& less) {
   const HeapEntry last = heap.back();
   heap.pop_back();
   if (!heap.empty()) heap_replace_front(heap, less, last);
@@ -134,8 +134,8 @@ void heap_drop_front(util::ArenaVector<HeapEntry>& heap, const HeapLess& less) {
 /// through full-depth sifts. Selection is unchanged: afterwards the heap
 /// holds exactly the entries a freshly seeded heap would, with exact gains,
 /// and the comparator's strict total order picks the same unique argmax.
-void heap_compact_rebuild(const util::ArenaVector<int32_t>& gain,
-                          util::ArenaVector<HeapEntry>& heap, const HeapLess& less) {
+void heap_compact_rebuild(const std::vector<int32_t>& gain,
+                          std::vector<HeapEntry>& heap, const HeapLess& less) {
   size_t w = 0;
   for (const HeapEntry& e : heap) {
     const int32_t g = gain[static_cast<size_t>(e.set)];
@@ -170,22 +170,29 @@ int commit_set(const CoverageEngine& eng, SolveWorkspace& ws, int j,
   return static_cast<int>(ws.newly.size());
 }
 
-}  // namespace
-
-CoverResult greedy_cover(const CoverageEngine& eng, SolveWorkspace& ws,
-                         const util::DynBitset* restrict_to) {
-  init_remaining(eng, ws, restrict_to);
-  init_gains(eng, ws, restrict_to == nullptr);
-
-  CoverResult res;
-  res.covered = util::DynBitset(eng.n_elements());
-
+/// The lazy-greedy heap protocol behind CostSC, the MCG greedy and the
+/// augmentation, which differ only in their budget tests and commit steps.
+/// Seeds the heap with every positive-gain set that `seed_ok(j)` admits, then
+/// settles the front until the target is covered or the heap drains:
+///  * churn rebuild: once the stale-front events since the last rebuild pass
+///    1/32 of the heap's size, refresh it wholesale (heap_compact_rebuild);
+///  * drop the front if its set is no longer `live(j)` (a budget test);
+///  * refresh the front if its stored gain is stale: re-seat it in place with
+///    the exact maintained gain (gains fall by small steps, so it usually
+///    stops within the cache-hot top levels, far cheaper than a pop + push,
+///    and the pick order is the same), or drop it once the gain hits zero;
+///  * otherwise the front is the eager argmax: pop it and `take(j)` it.
+/// `take` commits the set and returns how many target elements it newly
+/// covered. Returns the number of target elements left uncovered.
+template <typename SeedOk, typename Live, typename Take>
+int lazy_greedy(const CoverageEngine& eng, SolveWorkspace& ws, SeedOk&& seed_ok,
+                Live&& live, Take&& take) {
   const HeapLess less{eng};
   auto& heap = ws.heap;
   heap.clear();
   for (int j = 0; j < eng.n_set_slots(); ++j) {
     const int32_t g = ws.gain[static_cast<size_t>(j)];
-    if (g > 0) heap.push_back(entry_for(eng, g, j));
+    if (g > 0 && seed_ok(j)) heap.push_back(entry_for(eng, g, j));
   }
   heap_make(heap, less);
 
@@ -197,27 +204,43 @@ CoverResult greedy_cover(const CoverageEngine& eng, SolveWorkspace& ws,
       churn = 0;
       continue;
     }
-    HeapEntry top = heap.front();  // peek — don't pay for a pop yet
+    HeapEntry top = heap.front();  // peek: don't pay for a pop yet
+    if (!live(top.set)) {
+      heap_drop_front(heap, less);
+      continue;
+    }
     const int32_t g = ws.gain[static_cast<size_t>(top.set)];
-    if (top.gain != g) {  // stale: refresh with the exact maintained gain
+    if (top.gain != g) {
       ++churn;
       if (g <= 0) {
         heap_drop_front(heap, less);
       } else {
-        // Re-seat the refreshed entry in place. Gains fall by small steps,
-        // so it usually stops within the top (cache-hot) levels — far
-        // cheaper than the classic pop + re-push round trip, and the heap
-        // invariant is identical, so the pick order doesn't change.
         top.gain = g;
         heap_replace_front(heap, less, top);
       }
       continue;
     }
     heap_drop_front(heap, less);
-    res.chosen.push_back(top.set);
-    res.total_cost += eng.cost(top.set);
-    left -= commit_set(eng, ws, top.set, &res.covered);
+    left -= take(top.set);
   }
+  return left;
+}
+
+}  // namespace
+
+CoverResult greedy_cover(const CoverageEngine& eng, SolveWorkspace& ws,
+                         const util::DynBitset* restrict_to) {
+  init_remaining(eng, ws, restrict_to);
+  init_gains(eng, ws, restrict_to == nullptr);
+
+  CoverResult res;
+  res.covered = util::DynBitset(eng.n_elements());
+  const auto any = [](int) { return true; };
+  const int left = lazy_greedy(eng, ws, any, any, [&](int j) {
+    res.chosen.push_back(j);
+    res.total_cost += eng.cost(j);
+    return commit_set(eng, ws, j, &res.covered);
+  });
   res.complete = left == 0;
   return res;
 }
@@ -241,51 +264,23 @@ void mcg_cover_into(const CoverageEngine& eng, SolveWorkspace& ws,
   res.covered_h.resize(eng.n_elements());
   res.covered_h.reset_all();
 
-  const HeapLess less{eng};
-  auto& heap = ws.heap;
-  heap.clear();
-  for (int j = 0; j < eng.n_set_slots(); ++j) {
-    const int32_t g = ws.gain[static_cast<size_t>(j)];
-    if (g <= 0) continue;
-    if (!util::fits_budget(eng.cost(j), group_budgets[static_cast<size_t>(eng.group(j))])) {
-      continue;
-    }
-    heap.push_back(entry_for(eng, g, j));
-  }
-  heap_make(heap, less);
-
-  int left = ws.remaining.count();
-  size_t churn = 0;  // stale-front events since the last wholesale rebuild
-  while (left > 0 && !heap.empty()) {
-    if (churn * 32 > heap.size() + 64) {
-      heap_compact_rebuild(ws.gain, heap, less);
-      churn = 0;
-      continue;
-    }
-    HeapEntry top = heap.front();  // peek, as in greedy_cover
-    const auto grp = static_cast<size_t>(eng.group(top.set));
-    if (util::budget_exhausted(ws.group_cost[grp], group_budgets[grp])) {
-      heap_drop_front(heap, less);
-      continue;
-    }
-    const int32_t g = ws.gain[static_cast<size_t>(top.set)];
-    if (top.gain != g) {
-      ++churn;
-      if (g <= 0) {
-        heap_drop_front(heap, less);
-      } else {
-        top.gain = g;
-        heap_replace_front(heap, less, top);
-      }
-      continue;
-    }
-    heap_drop_front(heap, less);
-    ws.group_cost[grp] += eng.cost(top.set);
-    res.h.push_back(top.set);
-    res.violator.push_back(
-        util::exceeds_budget(ws.group_cost[grp], group_budgets[grp]) ? char{1} : char{0});
-    left -= commit_set(eng, ws, top.set, &res.covered_h);
-  }
+  // Admitted while a set fits its group's budget on its own; live until the
+  // group's budget is exhausted, so the pick that crosses it is a violator.
+  const auto budget = [&](int j) {
+    return group_budgets[static_cast<size_t>(eng.group(j))];
+  };
+  const auto spent = [&](int j) -> double& {
+    return ws.group_cost[static_cast<size_t>(eng.group(j))];
+  };
+  lazy_greedy(
+      eng, ws, [&](int j) { return util::fits_budget(eng.cost(j), budget(j)); },
+      [&](int j) { return !util::budget_exhausted(spent(j), budget(j)); },
+      [&](int j) {
+        spent(j) += eng.cost(j);
+        res.h.push_back(j);
+        res.violator.push_back(util::exceeds_budget(spent(j), budget(j)));
+        return commit_set(eng, ws, j, &res.covered_h);
+      });
   res.covered_h.and_assign(ws.target);
 
   // H1/H2 split; output whichever covers more of the target.
@@ -330,50 +325,32 @@ std::vector<int> mcg_augment(const CoverageEngine& eng, SolveWorkspace& ws,
   ws.remaining.andnot_assign(covered);
   init_gains(eng, ws, /*full_target=*/false);
 
-  const HeapLess less{eng};
-  auto& heap = ws.heap;
-  heap.clear();
-  for (int j = 0; j < eng.n_set_slots(); ++j) {
-    const int32_t g = ws.gain[static_cast<size_t>(j)];
-    if (g <= 0) continue;
+  // A set is admitted, and stays live, while it fits its group's budget.
+  const auto fits = [&](int j) {
     const auto grp = static_cast<size_t>(eng.group(j));
-    if (!util::fits_budget(group_cost[grp] + eng.cost(j), group_budgets[grp])) continue;
-    heap.push_back(entry_for(eng, g, j));
-  }
-  heap_make(heap, less);
-
+    return util::fits_budget(group_cost[grp] + eng.cost(j), group_budgets[grp]);
+  };
   std::vector<int> added;
-  int left = ws.remaining.count();
-  size_t churn = 0;  // stale-front events since the last wholesale rebuild
-  while (left > 0 && !heap.empty()) {
-    if (churn * 32 > heap.size() + 64) {
-      heap_compact_rebuild(ws.gain, heap, less);
-      churn = 0;
-      continue;
-    }
-    HeapEntry top = heap.front();  // peek, as in greedy_cover
-    const auto grp = static_cast<size_t>(eng.group(top.set));
-    if (!util::fits_budget(group_cost[grp] + eng.cost(top.set), group_budgets[grp])) {
-      heap_drop_front(heap, less);  // no longer fits
-      continue;
-    }
-    const int32_t g = ws.gain[static_cast<size_t>(top.set)];
-    if (top.gain != g) {
-      ++churn;
-      if (g <= 0) {
-        heap_drop_front(heap, less);
-      } else {
-        top.gain = g;
-        heap_replace_front(heap, less, top);
-      }
-      continue;
-    }
-    heap_drop_front(heap, less);
-    group_cost[grp] += eng.cost(top.set);
-    added.push_back(top.set);
-    left -= commit_set(eng, ws, top.set, &covered);
-  }
+  lazy_greedy(eng, ws, fits, fits, [&](int j) {
+    group_cost[static_cast<size_t>(eng.group(j))] += eng.cost(j);
+    added.push_back(j);
+    return commit_set(eng, ws, j, &covered);
+  });
   return added;
+}
+
+void mcg_top_up(const CoverageEngine& eng, SolveWorkspace& ws,
+                std::span<const double> group_budgets, McgResult& res,
+                const util::DynBitset* restrict_to) {
+  // mcg_augment never touches ws.group_cost itself, so the spend it extends
+  // can live there.
+  ws.group_cost.assign(static_cast<size_t>(eng.n_groups()), 0.0);
+  for (const int j : res.chosen) {
+    ws.group_cost[static_cast<size_t>(eng.group(j))] += eng.cost(j);
+  }
+  const auto added =
+      mcg_augment(eng, ws, group_budgets, ws.group_cost, res.covered, restrict_to);
+  res.chosen.insert(res.chosen.end(), added.begin(), added.end());
 }
 
 namespace {

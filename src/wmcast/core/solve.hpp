@@ -22,7 +22,9 @@
 //    solve is O(arena size);
 //  * the lazy heap stores exact gains; an entry is stale iff its gain no
 //    longer matches the maintained value (an O(1) check), and a fresh pop is
-//    provably the argmax under the comparator below;
+//    provably the argmax under the comparator below. greedy_cover,
+//    mcg_cover and mcg_augment run one heap driver and differ only in their
+//    budget tests and commit steps (DESIGN.md §13);
 //  * ratios are compared by integer×cost cross products, never by divided
 //    doubles, with ties broken toward the lower set id — so every solver is
 //    exactly equal to an eager argmax reference (see setcover/reference.hpp)
@@ -184,6 +186,15 @@ std::vector<int> mcg_augment(const CoverageEngine& eng, SolveWorkspace& ws,
                              std::span<const double> group_budgets,
                              std::span<double> group_cost, util::DynBitset& covered,
                              const util::DynBitset* restrict_to = nullptr);
+
+/// MNU's budget top-up after the H1/H2 split: sums the spend of
+/// `res.chosen` per group into ws.group_cost, runs mcg_augment against
+/// `group_budgets` (restricted to `restrict_to`'s elements when non-null),
+/// extends `res.covered` and appends the sets it adds to `res.chosen`. The
+/// serial Centralized MNU and every shard of parallel_mcg_cover call this.
+void mcg_top_up(const CoverageEngine& eng, SolveWorkspace& ws,
+                std::span<const double> group_budgets, McgResult& res,
+                const util::DynBitset* restrict_to = nullptr);
 
 /// SCG: B* is searched over a geometric grid between the instance lower bound
 /// and params.budget_cap, refined by bisection, and the best feasible result

@@ -1,18 +1,13 @@
 // Reusable per-solve scratch. Allocate one workspace, pass it to every solve
 // on the same engine: after warm-up each solve runs with zero steady-state
-// allocations (bitsets and vectors keep their capacity between calls).
-//
-// A workspace can be seated on a util::Arena (one per SessionShards lane —
-// see core/parallel.hpp): every bitset word block and scratch vector then
-// allocates from that arena instead of the shared heap, so parallel solves
-// never contend on the global allocator. The arena must outlive the
-// workspace; ShardWorkspaces owns both and orders them accordingly.
+// allocations (bitsets and vectors keep their capacity between calls). The
+// sharded solves keep one workspace per pool lane (core/parallel.hpp), so
+// their steady state allocates nothing either.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "wmcast/util/arena.hpp"
 #include "wmcast/util/bitset.hpp"
 
 namespace wmcast::core {
@@ -32,37 +27,17 @@ struct HeapEntry {
 /// into the caller-provided result structs; everything here is internal
 /// state, reusable across solves and engines of any size.
 struct SolveWorkspace {
-  SolveWorkspace() = default;
-  /// Arena-backed workspace: all scratch allocates from `arena` (which must
-  /// outlive this workspace). Results returned by the solvers stay heap-backed
-  /// — copies out of arena bitsets fall back to the heap by construction.
-  explicit SolveWorkspace(util::Arena* arena)
-      : remaining(0, util::ArenaAllocator<uint64_t>(arena)),
-        target(0, util::ArenaAllocator<uint64_t>(arena)),
-        gain(util::ArenaAllocator<int32_t>(arena)),
-        heap(util::ArenaAllocator<HeapEntry>(arena)),
-        group_cost(util::ArenaAllocator<double>(arena)),
-        pass_budget(util::ArenaAllocator<double>(arena)),
-        scg_remaining(0, util::ArenaAllocator<uint64_t>(arena)),
-        cov_a(0, util::ArenaAllocator<uint64_t>(arena)),
-        cov_b(0, util::ArenaAllocator<uint64_t>(arena)),
-        residual(util::ArenaAllocator<double>(arena)),
-        taken(util::ArenaAllocator<char>(arena)),
-        shard_group_cost(util::ArenaAllocator<double>(arena)),
-        newly(util::ArenaAllocator<int32_t>(arena)) {}
-
-  util::DynBitset remaining;             // uncovered target elements
-  util::DynBitset target;                // the solve's initial remaining (MCG split)
-  util::ArenaVector<int32_t> gain;       // exact |members ∩ remaining| per set slot
-  util::ArenaVector<HeapEntry> heap;     // lazy max-heap storage
-  util::ArenaVector<double> group_cost;  // per-group spend (MCG)
-  util::ArenaVector<double> pass_budget; // per-pass budgets (SCG)
-  util::DynBitset scg_remaining;         // SCG's cross-pass remainder
-  util::DynBitset cov_a, cov_b;          // MCG's H1/H2 split accumulators
-  util::ArenaVector<double> residual;    // layering's residual costs
-  util::ArenaVector<char> taken;         // layering's chosen mask
-  util::ArenaVector<double> shard_group_cost;  // per-group spend of one shard's picks
-  util::ArenaVector<int32_t> newly;      // commit batch: elements covered this pick
+  util::DynBitset remaining;        // uncovered target elements
+  util::DynBitset target;           // the solve's initial remaining (MCG split)
+  std::vector<int32_t> gain;        // exact |members ∩ remaining| per set slot
+  std::vector<HeapEntry> heap;      // lazy max-heap storage
+  std::vector<double> group_cost;   // per-group spend (MCG, MNU's top-up)
+  std::vector<double> pass_budget;  // per-pass budgets (SCG)
+  util::DynBitset scg_remaining;    // SCG's cross-pass remainder
+  util::DynBitset cov_a, cov_b;     // MCG's H1/H2 split accumulators
+  std::vector<double> residual;     // layering's residual costs
+  std::vector<char> taken;          // layering's chosen mask
+  std::vector<int32_t> newly;       // commit batch: elements covered this pick
 };
 
 /// Scratch for the association-side algorithms (local search, distributed

@@ -499,10 +499,6 @@ assoc::Solution AssociationController::solve_full(const wlan::Scenario& sc) {
     tele_.engine_parallel_tasks.inc(static_cast<uint64_t>(ps.tasks));
     tele_.engine_parallel_workers.set(ps.workers);
     tele_.engine_parallel_imbalance.set(ps.imbalance);
-    tele_.engine_parallel_arena_peak_bytes.set(
-        static_cast<double>(ps.arena_high_water_bytes));
-    tele_.engine_parallel_arena_reserved_bytes.set(
-        static_cast<double>(ps.arena_reserved_bytes));
   }
   return sol;
 }

@@ -247,7 +247,7 @@ class AssociationController {
   util::Rng rng_;
 
   // Full-solve engine (rebuilt from the epoch's scenario before each MLA-C
-  // solve, reusing its arenas' capacity) + reusable repair scratch.
+  // solve, reusing its buffers' capacity) + reusable repair scratch.
   assoc::EngineContext ctx_;
   util::ThreadPool pool_;            // sized from cfg_.threads (1 = inline)
   core::AssocWorkspace repair_ws_;

@@ -60,20 +60,11 @@ util::Json Telemetry::to_json() const {
                static_cast<int64_t>(forced_reassociations.value()));
   util::Json engine = util::Json::object();
   engine.set("full_builds", static_cast<int64_t>(engine_full_builds.value()));
-  engine.set("incremental_updates",
-             static_cast<int64_t>(engine_incremental_updates.value()));
-  engine.set("groups_rebuilt", static_cast<int64_t>(engine_groups_rebuilt.value()));
-  engine.set("sets_rebuilt", static_cast<int64_t>(engine_sets_rebuilt.value()));
-  engine.set("sets_retired", static_cast<int64_t>(engine_sets_retired.value()));
-  engine.set("compactions", static_cast<int64_t>(engine_compactions.value()));
   util::Json parallel = util::Json::object();
   parallel.set("solves", static_cast<int64_t>(engine_parallel_solves.value()));
   parallel.set("tasks", static_cast<int64_t>(engine_parallel_tasks.value()));
   parallel.set("workers", engine_parallel_workers.value());
   parallel.set("imbalance", engine_parallel_imbalance.value());
-  parallel.set("arena_peak_bytes", engine_parallel_arena_peak_bytes.value());
-  parallel.set("arena_reserved_bytes",
-               engine_parallel_arena_reserved_bytes.value());
   parallel.set("repair_calls",
                static_cast<int64_t>(engine_parallel_repair_calls.value()));
   parallel.set("repair_shards",

@@ -1,6 +1,6 @@
 // Built-in telemetry for the association controller: monotonic counters,
 // gauges, and bucketed histograms (log-scaled latency / size distributions),
-// dumped as JSON under the documented `wmcast-ctrl-telemetry/v1` schema (see
+// dumped as JSON under the documented `wmcast-ctrl-telemetry/v2` schema (see
 // DESIGN.md §Controller).
 #pragma once
 
@@ -12,7 +12,7 @@
 
 namespace wmcast::ctrl {
 
-inline constexpr const char* kTelemetrySchema = "wmcast-ctrl-telemetry/v1";
+inline constexpr const char* kTelemetrySchema = "wmcast-ctrl-telemetry/v2";
 
 /// Monotonically increasing event count.
 class Counter {
@@ -63,17 +63,9 @@ struct Telemetry {
   Counter handoffs;               // AP -> different-AP moves (Reassociation frames)
   Counter forced_reassociations;  // subset forced by invalidated associations
 
-  // Coverage-engine builds (additive keys under the v1 schema). Every MLA-C
-  // full solve builds its engine from the epoch's scenario; full_builds
-  // counts those builds. The engine has no incremental path, so the five
-  // counters below it always read 0; the v1 schema (and ctrl_replay's check
-  // of it) still requires their keys.
+  // Coverage-engine builds. Every MLA-C full solve builds its engine from
+  // the epoch's scenario; the engine has no incremental path.
   Counter engine_full_builds;          // whole-system projections
-  Counter engine_incremental_updates;  // always 0
-  Counter engine_groups_rebuilt;       // always 0
-  Counter engine_sets_rebuilt;         // always 0
-  Counter engine_sets_retired;         // always 0
-  Counter engine_compactions;          // always 0
 
   // Sharded parallel solve accounting (core/parallel.hpp; additive keys under
   // counters.engine.parallel). Zero unless the controller runs with threads > 1.
@@ -107,15 +99,13 @@ struct Telemetry {
   Gauge engine_parallel_workers;    // pool lanes used by the last sharded solve
   Gauge engine_parallel_imbalance;  // max/mean shard weight of that solve
   Gauge engine_parallel_repair_imbalance;  // max/mean dirty users per repair task
-  Gauge engine_parallel_arena_peak_bytes;      // summed lane-arena high-water marks
-  Gauge engine_parallel_arena_reserved_bytes;  // summed lane-arena block capacity
 
   // Histograms.
   BucketHistogram dirty_region_size;
   BucketHistogram reassoc_per_epoch;
   BucketHistogram drain_seconds;
 
-  /// Serializes under the wmcast-ctrl-telemetry/v1 schema.
+  /// Serializes under the wmcast-ctrl-telemetry/v2 schema.
   util::Json to_json() const;
 };
 

@@ -11,12 +11,6 @@ DynBitset::DynBitset(int n_bits)
   WMCAST_ASSERT(n_bits >= 0, "bitset size must be non-negative");
 }
 
-DynBitset::DynBitset(int n_bits, ArenaAllocator<uint64_t> alloc)
-    : n_bits_(n_bits),
-      words_(static_cast<std::size_t>((n_bits + 63) / 64), 0, alloc) {
-  WMCAST_ASSERT(n_bits >= 0, "bitset size must be non-negative");
-}
-
 void DynBitset::set(int i) {
   WMCAST_ASSERT(i >= 0 && i < n_bits_, "bit index out of range");
   words_[static_cast<std::size_t>(i) / 64] |= uint64_t{1} << (i % 64);

@@ -3,16 +3,13 @@
 // Count kernels dispatch through wmcast::simd (unrolled word-parallel scalar
 // or AVX2, selected at runtime, bit-identical by construction); the visitor
 // templates skip zero words four at a time so sparse sets cost loads, not
-// per-bit branches. Word storage is arena-capable: a DynBitset constructed
-// with an ArenaAllocator allocates from its shard's arena (see util/arena.hpp
-// for the ownership rules); the default is the plain heap.
+// per-bit branches.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "wmcast/util/arena.hpp"
 #include "wmcast/util/simd.hpp"
 
 namespace wmcast::util {
@@ -23,9 +20,6 @@ class DynBitset {
  public:
   DynBitset() = default;
   explicit DynBitset(int n_bits);
-  /// Arena-backed storage: words allocate through `alloc` (heap when its
-  /// arena is null). Copy construction intentionally falls back to the heap.
-  DynBitset(int n_bits, ArenaAllocator<uint64_t> alloc);
 
   int size() const { return n_bits_; }
 
@@ -145,7 +139,7 @@ class DynBitset {
   }
 
   int n_bits_ = 0;
-  ArenaVector<uint64_t> words_;
+  std::vector<uint64_t> words_;
 };
 
 }  // namespace wmcast::util

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace wmcast::ctrl {
 namespace {
@@ -90,6 +92,18 @@ TEST(Telemetry, JsonMatchesTheDocumentedSchema) {
   EXPECT_EQ(counters->find("events_ingested")->as_int(), 5);
   EXPECT_EQ(counters->find("handoffs")->as_int(), 2);
   EXPECT_EQ(counters->find("events_by_type")->size(), 6u);
+
+  // v2: the engine block carries only mechanisms that exist.
+  const auto* engine = counters->find("engine");
+  ASSERT_NE(engine, nullptr);
+  std::vector<std::string> engine_keys;
+  for (const auto& [key, value] : engine->members()) engine_keys.push_back(key);
+  EXPECT_EQ(engine_keys, (std::vector<std::string>{"full_builds", "parallel", "kconn"}));
+  const auto* parallel = engine->find("parallel");
+  ASSERT_NE(parallel, nullptr);
+  for (const auto& [key, value] : parallel->members()) {
+    EXPECT_NE(key.rfind("arena_", 0), 0u) << "stale parallel key " << key;
+  }
 
   const auto* gauges = j.find("gauges");
   ASSERT_NE(gauges, nullptr);
