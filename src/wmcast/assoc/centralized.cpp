@@ -1,11 +1,13 @@
 #include "wmcast/assoc/centralized.hpp"
 
 #include <chrono>
+#include <vector>
 
 #include "wmcast/assoc/kconn.hpp"
 #include "wmcast/core/solve.hpp"
 #include "wmcast/setcover/materialize.hpp"
 #include "wmcast/setcover/reduction.hpp"
+#include "wmcast/util/assert.hpp"
 
 namespace wmcast::assoc {
 
@@ -52,46 +54,6 @@ Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& para
   return sol;
 }
 
-Solution centralized_bla(const wlan::Scenario& sc, const CentralizedParams& params,
-                         const core::ScgParams& scg_params, EngineContext& ctx) {
-  const auto t0 = std::chrono::steady_clock::now();
-  core::ScgResult scg;
-  if (params.pool != nullptr) {
-    ctx.shards.build(ctx.engine);
-    scg = core::parallel_scg_cover(ctx.engine, *params.pool, ctx.shard_ws,
-                                   ctx.shards, scg_params, &ctx.parallel);
-  } else {
-    scg = core::scg_cover(ctx.engine, ctx.ws, scg_params);
-  }
-  auto assoc = setcover::materialize(sc, ctx.engine, scg.chosen);
-  Solution sol = make_solution("BLA-C", sc, std::move(assoc), params.multi_rate);
-  sol.converged = scg.feasible;
-  if (params.k >= 2) apply_kconn(sc, params, sol, /*enforce_budget=*/false);
-  sol.solve_seconds = seconds_since(t0);
-  return sol;
-}
-
-Solution centralized_mnu(const wlan::Scenario& sc, const CentralizedParams& params,
-                         EngineContext& ctx) {
-  const auto t0 = std::chrono::steady_clock::now();
-  ctx.budgets.assign(static_cast<size_t>(ctx.engine.n_groups()), sc.load_budget());
-  core::McgResult mcg;
-  if (params.pool != nullptr) {
-    ctx.shards.build(ctx.engine);
-    mcg = core::parallel_mcg_cover(ctx.engine, *params.pool, ctx.shard_ws, ctx.shards,
-                                   ctx.budgets, params.mnu_augment, &ctx.parallel);
-  } else {
-    mcg = core::mcg_cover(ctx.engine, ctx.ws, ctx.budgets);
-    if (params.mnu_augment) core::mcg_top_up(ctx.engine, ctx.ws, ctx.budgets, mcg);
-  }
-  auto assoc = setcover::materialize(sc, ctx.engine, mcg.chosen);
-  Solution sol = make_solution("MNU-C", sc, std::move(assoc), params.multi_rate);
-  // MNU is the budgeted setting: secondary adoptions must respect AP budgets.
-  if (params.k >= 2) apply_kconn(sc, params, sol, /*enforce_budget=*/true);
-  sol.solve_seconds = seconds_since(t0);
-  return sol;
-}
-
 Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& params) {
   const auto t0 = std::chrono::steady_clock::now();
   EngineContext ctx;
@@ -103,19 +65,36 @@ Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& para
 
 Solution centralized_bla(const wlan::Scenario& sc, const CentralizedParams& params,
                          const core::ScgParams& scg_params) {
+  util::require(params.pool == nullptr,
+                "centralized_bla: the max AP load couples sessions; no sharded solve");
   const auto t0 = std::chrono::steady_clock::now();
-  EngineContext ctx;
-  ctx.build(sc, params.multi_rate);
-  Solution sol = centralized_bla(sc, params, scg_params, ctx);
+  core::CoverageEngine eng;
+  setcover::build_engine(sc, params.multi_rate, eng);
+  core::SolveWorkspace ws;
+  const auto scg = core::scg_cover(eng, ws, scg_params);
+  auto assoc = setcover::materialize(sc, eng, scg.chosen);
+  Solution sol = make_solution("BLA-C", sc, std::move(assoc), params.multi_rate);
+  sol.converged = scg.feasible;
+  if (params.k >= 2) apply_kconn(sc, params, sol, /*enforce_budget=*/false);
   sol.solve_seconds = seconds_since(t0);
   return sol;
 }
 
 Solution centralized_mnu(const wlan::Scenario& sc, const CentralizedParams& params) {
+  util::require(params.pool == nullptr,
+                "centralized_mnu: the AP budget couples sessions; no sharded solve");
   const auto t0 = std::chrono::steady_clock::now();
-  EngineContext ctx;
-  ctx.build(sc, params.multi_rate);
-  Solution sol = centralized_mnu(sc, params, ctx);
+  core::CoverageEngine eng;
+  setcover::build_engine(sc, params.multi_rate, eng);
+  core::SolveWorkspace ws;
+  const std::vector<double> budgets(static_cast<size_t>(eng.n_groups()),
+                                    sc.load_budget());
+  auto mcg = core::mcg_cover(eng, ws, budgets);
+  if (params.mnu_augment) core::mcg_top_up(eng, ws, budgets, mcg);
+  auto assoc = setcover::materialize(sc, eng, mcg.chosen);
+  Solution sol = make_solution("MNU-C", sc, std::move(assoc), params.multi_rate);
+  // MNU is the budgeted setting: secondary adoptions must respect AP budgets.
+  if (params.k >= 2) apply_kconn(sc, params, sol, /*enforce_budget=*/true);
   sol.solve_seconds = seconds_since(t0);
   return sol;
 }

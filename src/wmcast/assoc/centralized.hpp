@@ -7,14 +7,15 @@
 //   centralized_bla — SCG via repeated MCG at guessed B*, (log_{8/7} n + 1).
 //   centralized_mnu — MCG greedy + H1/H2 split,           8-approx.
 //
-// Every algorithm has a warm-path overload taking an EngineContext: the
-// caller builds the engine (EngineContext::build) and the solve reuses the
-// context's workspaces. Repeated solves on one network skip the reduction;
-// a context rebuilt for each new network (the online controller's full
-// solves) reuses its buffers' capacity.
+// MLA has a warm-path overload taking an EngineContext: the caller builds
+// the engine (EngineContext::build) and the solve reuses the context's
+// workspaces. Repeated solves on one network skip the reduction; a context
+// rebuilt for each new network (the online controller's full solves) reuses
+// its buffers' capacity. It is also the only solve that shards across a
+// thread pool: MLA's greedy splits into independent per-session problems,
+// while BLA's max load and MNU's budgets bound each AP's load summed over
+// every session it sends, which couples an AP's sessions (DESIGN.md §9).
 #pragma once
-
-#include <vector>
 
 #include "wmcast/assoc/solution.hpp"
 #include "wmcast/core/engine.hpp"
@@ -39,22 +40,19 @@ struct CentralizedParams {
   /// preserves the 8-approx).
   /// Disable to run the paper's literal algorithm.
   bool mnu_augment = true;
-  /// Non-null switches the warm paths to the sharded per-session solves
-  /// (core/parallel.hpp), distributing shards across the pool. The result is
-  /// bitwise identical at any pool size (see DESIGN.md §9); for MNU/BLA the
-  /// sharded path applies group budgets per channel shard, which differs from
-  /// the joint serial algorithm — null (the default) keeps the paper's joint
-  /// semantics.
+  /// MLA only: non-null runs the sharded per-session greedy
+  /// (core/parallel.hpp) across the pool. The association is identical to
+  /// the joint greedy's at any pool size (DESIGN.md §9). centralized_bla and
+  /// centralized_mnu throw std::invalid_argument when it is set.
   util::ThreadPool* pool = nullptr;
 };
 
-/// Warm solve state shared by repeated centralized solves: the built engine
-/// plus reusable scratch. The caller owns keeping the engine in sync with the
+/// Warm solve state shared by repeated MLA solves: the built engine plus
+/// reusable scratch. The caller owns keeping the engine in sync with the
 /// scenario it passes to the solve (build() whenever the scenario changed).
 struct EngineContext {
   core::CoverageEngine engine;
   core::SolveWorkspace ws;
-  std::vector<double> budgets;     // per-group budget scratch (MNU)
   core::SessionShards shards;      // per-session partition (parallel path)
   core::ShardWorkspaces shard_ws;  // one workspace per pool lane
   /// Output: shard accounting of the last sharded solve (params.pool set);
@@ -71,13 +69,9 @@ Solution centralized_bla(const wlan::Scenario& sc, const CentralizedParams& para
 /// Uses the scenario's load budget as every group's budget B_i.
 Solution centralized_mnu(const wlan::Scenario& sc, const CentralizedParams& params = {});
 
-/// Warm-path overloads: `ctx.engine` must already reflect `sc` (same
+/// Warm-path overload: `ctx.engine` must already reflect `sc` (same
 /// multi_rate flag included); the reduction step is skipped.
 Solution centralized_mla(const wlan::Scenario& sc, const CentralizedParams& params,
-                         EngineContext& ctx);
-Solution centralized_bla(const wlan::Scenario& sc, const CentralizedParams& params,
-                         const core::ScgParams& scg, EngineContext& ctx);
-Solution centralized_mnu(const wlan::Scenario& sc, const CentralizedParams& params,
                          EngineContext& ctx);
 
 }  // namespace wmcast::assoc

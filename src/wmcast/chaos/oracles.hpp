@@ -6,7 +6,7 @@
 // Oracle pairs:
 //  * engine-backed greedy/MCG/SCG (core/solve) vs the eager references
 //    (setcover/reference) — exact chosen-sequence equivalence;
-//  * sharded parallel solves (core/parallel) vs the joint solve — chosen-set
+//  * the sharded MLA greedy (core/parallel) vs the joint greedy — chosen-set
 //    and covered equivalence;
 //  * the controller at --threads=1 vs --threads=N over the same trace —
 //    committed slot_ap equality after every epoch;

@@ -314,14 +314,13 @@ McgResult mcg_cover(const CoverageEngine& eng, SolveWorkspace& ws,
 
 std::vector<int> mcg_augment(const CoverageEngine& eng, SolveWorkspace& ws,
                              std::span<const double> group_budgets,
-                             std::span<double> group_cost, util::DynBitset& covered,
-                             const util::DynBitset* restrict_to) {
+                             std::span<double> group_cost, util::DynBitset& covered) {
   util::require(static_cast<int>(group_budgets.size()) == eng.n_groups(),
                 "mcg_augment: one budget per group required");
   util::require(static_cast<int>(group_cost.size()) == eng.n_groups(),
                 "mcg_augment: one cost entry per group required");
 
-  init_remaining(eng, ws, restrict_to);
+  init_remaining(eng, ws, nullptr);
   ws.remaining.andnot_assign(covered);
   init_gains(eng, ws, /*full_target=*/false);
 
@@ -340,8 +339,7 @@ std::vector<int> mcg_augment(const CoverageEngine& eng, SolveWorkspace& ws,
 }
 
 void mcg_top_up(const CoverageEngine& eng, SolveWorkspace& ws,
-                std::span<const double> group_budgets, McgResult& res,
-                const util::DynBitset* restrict_to) {
+                std::span<const double> group_budgets, McgResult& res) {
   // mcg_augment never touches ws.group_cost itself, so the spend it extends
   // can live there.
   ws.group_cost.assign(static_cast<size_t>(eng.n_groups()), 0.0);
@@ -349,7 +347,7 @@ void mcg_top_up(const CoverageEngine& eng, SolveWorkspace& ws,
     ws.group_cost[static_cast<size_t>(eng.group(j))] += eng.cost(j);
   }
   const auto added =
-      mcg_augment(eng, ws, group_budgets, ws.group_cost, res.covered, restrict_to);
+      mcg_augment(eng, ws, group_budgets, ws.group_cost, res.covered);
   res.chosen.insert(res.chosen.end(), added.begin(), added.end());
 }
 
@@ -360,8 +358,7 @@ namespace {
 /// the one McgResult reused across every pass of every attempt, so the
 /// budget search allocates nothing per pass once warm.
 ScgResult run_at_budget(const CoverageEngine& eng, SolveWorkspace& ws, double bstar,
-                        int max_passes, bool carry_budgets,
-                        const util::DynBitset* restrict_to, McgResult& mcg_scratch) {
+                        int max_passes, bool carry_budgets, McgResult& mcg_scratch) {
   ScgResult res;
   res.bstar = bstar;
   res.covered = util::DynBitset(eng.n_elements());
@@ -369,7 +366,6 @@ ScgResult run_at_budget(const CoverageEngine& eng, SolveWorkspace& ws, double bs
 
   ws.pass_budget.assign(static_cast<size_t>(eng.n_groups()), bstar);
   ws.scg_remaining = eng.coverable();
-  if (restrict_to != nullptr) ws.scg_remaining.and_assign(*restrict_to);
   for (int pass = 0; pass < max_passes && ws.scg_remaining.any(); ++pass) {
     if (carry_budgets) {
       for (int g = 0; g < eng.n_groups(); ++g) {
@@ -405,35 +401,29 @@ bool scg_better(const ScgResult& a, const ScgResult& b) {
 }  // namespace
 
 ScgResult scg_cover(const CoverageEngine& eng, SolveWorkspace& ws,
-                    const ScgParams& params, const util::DynBitset* restrict_to) {
+                    const ScgParams& params) {
   util::require(params.budget_cap > 0.0, "scg_cover: budget cap must be positive");
   util::require(params.grid_points >= 2, "scg_cover: need at least two grid points");
 
-  const int n_target = restrict_to != nullptr
-                           ? eng.coverable().and_count(*restrict_to)
-                           : eng.coverable().count();
-  const int n = std::max(1, n_target);
+  const int n = std::max(1, eng.coverable().count());
   // Theorem 4's pass bound plus a slack of 8, as in setcover/reference.cpp.
   const int max_passes =
       static_cast<int>(std::ceil(std::log(n) / std::log(8.0 / 7.0))) + 8;
 
-  const double min_budget = restrict_to != nullptr
-                                ? min_feasible_budget_for(eng, *restrict_to)
-                                : eng.min_feasible_budget();
-  const double lo = std::max(min_budget, 1e-9);
+  const double lo = std::max(eng.min_feasible_budget(), 1e-9);
   const double hi = std::max(params.budget_cap, lo);
 
   McgResult mcg_scratch;  // reused across every pass of every budget attempt
-  ScgResult best = run_at_budget(eng, ws, lo, max_passes, params.carry_budgets,
-                                 restrict_to, mcg_scratch);
+  ScgResult best =
+      run_at_budget(eng, ws, lo, max_passes, params.carry_budgets, mcg_scratch);
   double largest_infeasible = best.feasible ? 0.0 : lo;
 
   const double ratio = hi / lo;
   for (int k = 1; k < params.grid_points; ++k) {
     const double b =
         lo * std::pow(ratio, static_cast<double>(k) / (params.grid_points - 1));
-    ScgResult r = run_at_budget(eng, ws, b, max_passes, params.carry_budgets,
-                                restrict_to, mcg_scratch);
+    ScgResult r =
+        run_at_budget(eng, ws, b, max_passes, params.carry_budgets, mcg_scratch);
     if (!r.feasible) largest_infeasible = std::max(largest_infeasible, b);
     if (scg_better(r, best)) best = std::move(r);
   }
@@ -445,8 +435,8 @@ ScgResult scg_cover(const CoverageEngine& eng, SolveWorkspace& ws,
       if (feasible_hi - infeasible_lo < 1e-6) break;
       const double mid = infeasible_lo <= 0.0 ? feasible_hi / 2
                                               : 0.5 * (infeasible_lo + feasible_hi);
-      ScgResult r = run_at_budget(eng, ws, mid, max_passes, params.carry_budgets,
-                                  restrict_to, mcg_scratch);
+      ScgResult r =
+          run_at_budget(eng, ws, mid, max_passes, params.carry_budgets, mcg_scratch);
       if (r.feasible) {
         feasible_hi = mid;
         if (scg_better(r, best)) best = std::move(r);
@@ -512,21 +502,6 @@ LayeringResult layered_cover(const CoverageEngine& eng, SolveWorkspace& ws) {
   res.covered.and_assign(eng.coverable());
   res.complete = left == 0;
   return res;
-}
-
-double min_feasible_budget_for(const CoverageEngine& eng,
-                               const util::DynBitset& target) {
-  util::require(eng.indexed(), "min_feasible_budget_for: engine not indexed");
-  double budget = 0.0;
-  target.for_each([&](int e) {
-    if (!eng.coverable().test(e)) return;
-    double min_cost = std::numeric_limits<double>::infinity();
-    eng.for_each_set_of(e, [&](int32_t j) {
-      min_cost = std::min(min_cost, eng.cost(j));
-    });
-    budget = std::max(budget, min_cost);
-  });
-  return budget;
 }
 
 int max_element_frequency(const CoverageEngine& eng) {

@@ -148,8 +148,8 @@ struct LayeringResult {
 };
 
 /// CostSC greedy. Targets all coverable elements, or coverable ∩ restrict_to
-/// (SCG-style partial covers). Every pick is the eager argmax of gain/cost,
-/// ties to the lower set id.
+/// (one session's shard, core/parallel.hpp). Every pick is the eager argmax
+/// of gain/cost, ties to the lower set id.
 CoverResult greedy_cover(const CoverageEngine& eng, SolveWorkspace& ws,
                          const util::DynBitset* restrict_to = nullptr);
 
@@ -184,25 +184,21 @@ void mcg_cover_into(const CoverageEngine& eng, SolveWorkspace& ws,
 /// see DESIGN.md).
 std::vector<int> mcg_augment(const CoverageEngine& eng, SolveWorkspace& ws,
                              std::span<const double> group_budgets,
-                             std::span<double> group_cost, util::DynBitset& covered,
-                             const util::DynBitset* restrict_to = nullptr);
+                             std::span<double> group_cost, util::DynBitset& covered);
 
 /// MNU's budget top-up after the H1/H2 split: sums the spend of
 /// `res.chosen` per group into ws.group_cost, runs mcg_augment against
-/// `group_budgets` (restricted to `restrict_to`'s elements when non-null),
-/// extends `res.covered` and appends the sets it adds to `res.chosen`. The
-/// serial Centralized MNU and every shard of parallel_mcg_cover call this.
+/// `group_budgets`, extends `res.covered` and appends the sets it adds to
+/// `res.chosen`.
 void mcg_top_up(const CoverageEngine& eng, SolveWorkspace& ws,
-                std::span<const double> group_budgets, McgResult& res,
-                const util::DynBitset* restrict_to = nullptr);
+                std::span<const double> group_budgets, McgResult& res);
 
-/// SCG: B* is searched over a geometric grid between the instance lower bound
+/// SCG over every coverable element: B* is searched over a geometric grid
+/// between the instance lower bound (CoverageEngine::min_feasible_budget)
 /// and params.budget_cap, refined by bisection, and the best feasible result
-/// is kept. Targets all coverable elements, or coverable ∩ restrict_to (the
-/// sharded per-session path restricts each solve to one shard's elements).
+/// is kept.
 ScgResult scg_cover(const CoverageEngine& eng, SolveWorkspace& ws,
-                    const ScgParams& params = {},
-                    const util::DynBitset* restrict_to = nullptr);
+                    const ScgParams& params = {});
 
 /// Vazirani layering over the whole coverable ground set. Each layer peels
 /// off a degree-weighted portion of every residual set's cost; sets whose
@@ -217,11 +213,5 @@ LayeringResult layered_cover(const CoverageEngine& eng, SolveWorkspace& ws);
 /// Max number of sets any coverable element appears in (the layering
 /// algorithm's approximation factor f).
 int max_element_frequency(const CoverageEngine& eng);
-
-/// max over coverable e in `target` of the min cost of a set containing
-/// e — the smallest per-group budget at which every target element has some
-/// affordable set (SCG's search floor, restricted to one shard).
-double min_feasible_budget_for(const CoverageEngine& eng,
-                               const util::DynBitset& target);
 
 }  // namespace wmcast::core

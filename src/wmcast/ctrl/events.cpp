@@ -78,13 +78,11 @@ Event Event::unsubscribe(int user) {
 void EventQueue::push(Event e) {
   std::lock_guard<std::mutex> lock(mu_);
   q_.push_back(StampedEvent{e, 0.0});
-  ++pushed_;
 }
 
 void EventQueue::push_all(const std::vector<Event>& events) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const Event& e : events) q_.push_back(StampedEvent{e, 0.0});
-  pushed_ += events.size();
 }
 
 void EventQueue::set_capacity(size_t cap) {
@@ -92,32 +90,18 @@ void EventQueue::set_capacity(size_t cap) {
   capacity_ = cap;
 }
 
-size_t EventQueue::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 bool EventQueue::try_push(Event e, double stamp) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_ > 0 && q_.size() >= capacity_) {
-    ++rejected_;
-    return false;
-  }
+  if (capacity_ > 0 && q_.size() >= capacity_) return false;
   q_.push_back(StampedEvent{e, stamp});
-  ++pushed_;
   return true;
 }
 
 bool EventQueue::push_shed_oldest(Event e, double stamp) {
   std::lock_guard<std::mutex> lock(mu_);
-  bool shed = false;
-  if (capacity_ > 0 && q_.size() >= capacity_) {
-    q_.pop_front();
-    ++shed_;
-    shed = true;
-  }
+  const bool shed = capacity_ > 0 && q_.size() >= capacity_;
+  if (shed) q_.pop_front();
   q_.push_back(StampedEvent{e, stamp});
-  ++pushed_;
   return shed;
 }
 
@@ -153,21 +137,6 @@ bool EventQueue::peek_stamp(size_t i, double* t_s) const {
 size_t EventQueue::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return q_.size();
-}
-
-uint64_t EventQueue::total_pushed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pushed_;
-}
-
-uint64_t EventQueue::total_rejected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejected_;
-}
-
-uint64_t EventQueue::total_shed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shed_;
 }
 
 }  // namespace wmcast::ctrl

@@ -8,7 +8,6 @@
 // across leaves so a returning user keeps its id and traces stay stable.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
@@ -62,10 +61,11 @@ struct StampedEvent {
 /// this path).
 ///
 /// Optionally bounded: set_capacity() caps the undrained backlog, and the
-/// bounded entry points (try_push / push_shed_oldest) surface overflow as
-/// reject/shed outcomes with monotonic counters instead of blocking — the
-/// serve loop's backpressure hooks. The plain push() APIs always accept so
-/// existing controller paths are unaffected.
+/// bounded entry points (try_push / push_shed_oldest) report overflow as a
+/// reject/shed return value instead of blocking — the serve loop's
+/// backpressure hooks, which count those outcomes in its own telemetry. The
+/// plain push() APIs always accept so existing controller paths are
+/// unaffected.
 class EventQueue {
  public:
   void push(Event e);
@@ -75,15 +75,14 @@ class EventQueue {
   /// the capacity below the current backlog does not drop anything already
   /// queued — the bound applies to subsequent bounded pushes.
   void set_capacity(size_t cap);
-  size_t capacity() const;
 
   /// Bounded push (reject-newest policy): refuses the event and returns
-  /// false when the queue is at capacity, counting it in total_rejected().
+  /// false when the queue is at capacity.
   bool try_push(Event e, double stamp = 0.0);
 
   /// Bounded push (shed-oldest policy): always enqueues, evicting the oldest
   /// queued event first when at capacity. Returns true when something was
-  /// shed (counted in total_shed()).
+  /// shed.
   bool push_shed_oldest(Event e, double stamp = 0.0);
 
   /// Removes and returns up to `max_batch` events in FIFO order
@@ -101,20 +100,10 @@ class EventQueue {
   size_t size() const;
   bool empty() const { return size() == 0; }
 
-  /// Total events ever pushed (monotonic, survives drains; excludes rejects).
-  uint64_t total_pushed() const;
-  /// Events refused by try_push against a full queue.
-  uint64_t total_rejected() const;
-  /// Events evicted by push_shed_oldest to admit newer arrivals.
-  uint64_t total_shed() const;
-
  private:
   mutable std::mutex mu_;
   std::deque<StampedEvent> q_;
   size_t capacity_ = 0;
-  uint64_t pushed_ = 0;
-  uint64_t rejected_ = 0;
-  uint64_t shed_ = 0;
 };
 
 }  // namespace wmcast::ctrl

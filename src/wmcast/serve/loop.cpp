@@ -54,26 +54,38 @@ void ServeLoop::harvest() {
   if (!inflight_) return;
   worker_.join();
   inflight_ = false;
-  wall_in_drains_ += inflight_wall_;
   if (inflight_error_) {
     std::exception_ptr e = inflight_error_;
     inflight_error_ = nullptr;
     std::rethrow_exception(e);
   }
   if (!cfg_.modeled_service) {
-    const double service = inflight_wall_;
-    const double done = inflight_start_ + service;
-    free_at_ = done;
-    for (const auto& se : inflight_batch_) {
-      telemetry_.latency_s.record(done - se.t_s);
-      telemetry_.queue_wait_s.record(inflight_start_ - se.t_s);
-      telemetry_.decision_s.record(done - inflight_start_);
-    }
-    telemetry_.service_s.record(service);
-    telemetry_.submitted.inc(inflight_submitted_);
-    telemetry_.batches.inc();
+    commit_batch(inflight_batch_, inflight_start_, inflight_wall_, inflight_submitted_);
     inflight_batch_.clear();
   }
+}
+
+void ServeLoop::run_batch(const std::vector<ctrl::Event>& events) {
+  controller_->submit(events);
+  do {
+    controller_->drain();
+  } while (controller_->pending_events() > 0);
+}
+
+void ServeLoop::commit_batch(const std::vector<ctrl::StampedEvent>& batch, double start,
+                             double service, size_t submitted) {
+  const double done = start + service;
+  free_at_ = done;
+  // Every ingested event — including ones coalesced away — has its intent
+  // decided when the batch commits.
+  for (const auto& se : batch) {
+    telemetry_.latency_s.record(done - se.t_s);
+    telemetry_.queue_wait_s.record(start - se.t_s);
+    telemetry_.decision_s.record(done - start);
+  }
+  telemetry_.service_s.record(service);
+  telemetry_.submitted.inc(submitted);
+  telemetry_.batches.inc();
 }
 
 void ServeLoop::offer(double t_s, const ctrl::Event& e) {
@@ -146,32 +158,14 @@ bool ServeLoop::process_one_due(double now, bool force) {
         return all;
       }();
 
+  // Modeled service is a pure function of the submitted batch.
+  const double modeled =
+      cfg_.model_batch_s + cfg_.model_event_s * static_cast<double>(events.size());
   if (!cfg_.pipeline) {
     const double wall0 = now_seconds();
-    controller_->submit(events);
-    do {
-      controller_->drain();
-    } while (controller_->pending_events() > 0);
+    run_batch(events);
     const double wall = now_seconds() - wall0;
-    wall_in_drains_ += wall;
-
-    const double service =
-        cfg_.modeled_service
-            ? cfg_.model_batch_s + cfg_.model_event_s * static_cast<double>(events.size())
-            : wall;
-    const double done = start + service;
-    free_at_ = done;
-
-    // Every ingested event — including ones coalesced away — has its intent
-    // decided when the batch commits.
-    for (const auto& se : batch) {
-      telemetry_.latency_s.record(done - se.t_s);
-      telemetry_.queue_wait_s.record(start - se.t_s);
-      telemetry_.decision_s.record(done - start);
-    }
-    telemetry_.service_s.record(service);
-    telemetry_.submitted.inc(events.size());
-    telemetry_.batches.inc();
+    commit_batch(batch, start, cfg_.modeled_service ? modeled : wall, events.size());
     return true;
   }
 
@@ -179,22 +173,10 @@ bool ServeLoop::process_one_due(double now, bool force) {
   // work must commit before this one dispatches (one batch in flight).
   harvest();
   if (cfg_.modeled_service) {
-    // Modeled service is a pure function of the submitted batch, so free_at_
-    // and every telemetry record are committed here at dispatch — the run is
-    // byte-identical to pipeline = false; only the controller drain overlaps
-    // with ingesting the next batch.
-    const double service =
-        cfg_.model_batch_s + cfg_.model_event_s * static_cast<double>(events.size());
-    const double done = start + service;
-    free_at_ = done;
-    for (const auto& se : batch) {
-      telemetry_.latency_s.record(done - se.t_s);
-      telemetry_.queue_wait_s.record(start - se.t_s);
-      telemetry_.decision_s.record(done - start);
-    }
-    telemetry_.service_s.record(service);
-    telemetry_.submitted.inc(events.size());
-    telemetry_.batches.inc();
+    // free_at_ and every telemetry record are committed here at dispatch, so
+    // the run is byte-identical to pipeline = false; only the controller
+    // drain overlaps with ingesting the next batch.
+    commit_batch(batch, start, modeled, events.size());
   } else {
     inflight_batch_ = batch;
     inflight_start_ = start;
@@ -204,10 +186,7 @@ bool ServeLoop::process_one_due(double now, bool force) {
   worker_ = std::thread([this, events]() {
     const double wall0 = now_seconds();
     try {
-      controller_->submit(events);
-      do {
-        controller_->drain();
-      } while (controller_->pending_events() > 0);
+      run_batch(events);
     } catch (...) {
       inflight_error_ = std::current_exception();
     }

@@ -1,6 +1,6 @@
 // The production serve loop: a bounded ingress queue in front of the
 // association controller, with adaptive batching, bounded-staleness
-// coalescing, and reject/shed backpressure — the layer that turns the PR 1
+// coalescing, and reject/shed backpressure — the layer that turns the
 // controller into a long-lived daemon that answers while re-optimizing.
 //
 // The loop runs a *virtual-time* open-loop queueing discipline. Arrivals
@@ -11,7 +11,8 @@
 // (modeled_service, for byte-identical determinism tests): every queueing,
 // batching, and coalescing decision depends only on arrival stamps + config,
 // never on the host clock, so a run's decision sequence is a pure function
-// of (workload, config).
+// of (workload, config). The pipelined and unpipelined paths record a batch
+// through one commit_batch(), so their telemetry cannot drift apart.
 #pragma once
 
 #include <exception>
@@ -89,15 +90,20 @@ class ServeLoop {
   const ServeTelemetry& finish(double end_t_s = -1.0);
 
   const ServeTelemetry& telemetry() const { return telemetry_; }
-  /// Virtual time the server becomes free (end of the last started batch).
-  double server_free_at() const { return free_at_; }
 
  private:
   bool process_one_due(double now, bool force);
-  /// Joins the in-flight pipelined batch (if any), folds its wall time into
-  /// the drain accounting, and — in measured-service mode — commits its
-  /// deferred free_at_ update and telemetry. Rethrows a controller error.
+  /// Joins the in-flight pipelined batch (if any) and, in measured-service
+  /// mode, commits it with its measured wall time. Rethrows a controller
+  /// error.
   void harvest();
+  /// Submits the batch's events and drains the controller to quiescence.
+  void run_batch(const std::vector<ctrl::Event>& events);
+  /// Records a batch that started at virtual time `start` and took `service`
+  /// seconds: advances free_at_, stamps every ingested event's latency and
+  /// counts the batch and its `submitted` events.
+  void commit_batch(const std::vector<ctrl::StampedEvent>& batch, double start,
+                    double service, size_t submitted);
   /// In-place batch coalescing; returns the events to submit, incrementing
   /// telemetry_.coalesced for every event folded away. Safe rules only: the
   /// last move / last subscribe per user wins when that user has nothing but
@@ -113,7 +119,6 @@ class ServeLoop {
   double free_at_ = 0.0;
   double last_arrival_ = 0.0;
   double wall_start_ = 0.0;
-  double wall_in_drains_ = 0.0;
 
   // Pipeline state: at most one batch's controller work runs on worker_ while
   // the main thread ingests the next. The worker touches only controller_ and

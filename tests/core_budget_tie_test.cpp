@@ -109,20 +109,18 @@ TEST(BudgetTie, ScgFeasibleAtBudgetCapEqualToTightSum) {
 
 TEST(BudgetTie, MinFeasibleBudgetIsItselfFeasible) {
   // An element whose only set costs exactly C: SCG capped at C (the value
-  // min_feasible_budget_for returns) must cover it.
+  // min_feasible_budget returns) must cover it.
   core::CoverageEngine eng;
   eng.reset(1, 1);
   const std::vector<int32_t> m{0};
   eng.add_set(0, 0, 1.0, kC3, m);
   eng.finish();
-  util::DynBitset target(1);
-  target.set(0);
-  EXPECT_DOUBLE_EQ(core::min_feasible_budget_for(eng, target), kC3);
+  EXPECT_DOUBLE_EQ(eng.min_feasible_budget(), kC3);
 
   core::SolveWorkspace ws;
   core::ScgParams params;
-  params.budget_cap = core::min_feasible_budget_for(eng, target);
-  const auto res = core::scg_cover(eng, ws, params, &target);
+  params.budget_cap = eng.min_feasible_budget();
+  const auto res = core::scg_cover(eng, ws, params);
   EXPECT_TRUE(res.feasible);
 }
 

@@ -1,10 +1,11 @@
 // Pins the pick order of every lazy-greedy heap loop in core/solve.cpp: the
 // CostSC greedy, the MCG greedy and its H1/H2 split, the budget-respecting
 // augmentation, SCG's repeated MCG passes, MNU's top-up and the sharded
-// per-session entry points. The instances are large enough that each loop
-// takes its wholesale heap rebuild. Every instance folds all of its picks into
-// one FNV-1a digest, so a change to the heap protocol, the budget tests or the
-// commit step must reproduce them exactly.
+// per-session greedy, plus the associations of Centralized MNU and BLA. The
+// instances are large enough that each loop takes its wholesale heap rebuild.
+// Every instance folds all of its picks into one FNV-1a digest, so a change to
+// the heap protocol, the budget tests or the commit step must reproduce them
+// exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -84,7 +85,6 @@ void digest_solvers(const CoverageEngine& eng, uint64_t seed, test::Fnv1a& h) {
 
   SessionShards shards;
   shards.build(eng);
-  const auto budgets = budgets_at(eng, 1.0);
   for (const int threads : {1, 4}) {
     util::ThreadPool pool(threads);
     ShardWorkspaces wss;
@@ -92,14 +92,6 @@ void digest_solvers(const CoverageEngine& eng, uint64_t seed, test::Fnv1a& h) {
     h.add(pg.chosen);
     h.add(pg.total_cost);
     h.add(pg.complete);
-    for (const bool augment : {false, true}) {
-      add_mcg(h, parallel_mcg_cover(eng, pool, wss, shards, budgets, augment));
-    }
-    const auto ps = parallel_scg_cover(eng, pool, wss, shards);
-    h.add(ps.chosen);
-    h.add(ps.bstar);
-    h.add(ps.feasible);
-    h.add(ps.passes);
   }
 }
 
@@ -127,12 +119,12 @@ setcover::SetSystem random_system(util::Rng& rng) {
 TEST(CoreSolvePinned, WlanEnginePicksArePinned) {
   // Seeds 1-6, each projected with multi-rate on and off.
   constexpr uint64_t kDigest[6][2] = {
-      {0xa2f82f699cd5c8d2ull, 0x63936a58ae913f59ull},
-      {0x76d29755d63ba2cbull, 0xed452f1984cc7bedull},
-      {0x0f2aea6ad5f3e15dull, 0x879e78ff04141f8eull},
-      {0xfd5778488cd217acull, 0x22cf4d23a72c3a3eull},
-      {0x79f33592078cdeceull, 0x9c8a7655b1cf0a2cull},
-      {0x8220d14dc1653213ull, 0x16e8e40ae95b65d3ull},
+      {0xc91d63a2ef7894d4ull, 0xdfb72fc7dae5c4beull},
+      {0x77de5a54b1fa02abull, 0xa202da48fc037ea9ull},
+      {0x588dbbea96fdb319ull, 0x5365579e4bd24c0cull},
+      {0x4c7982f7556e4ca1ull, 0x306b18a4512fa625ull},
+      {0x08bc97a3301ec400ull, 0x5d885c30a2c7b723ull},
+      {0xaef012d4cbdec9abull, 0x6ded6d67a3908bf3ull},
   };
   for (int seed = 1; seed <= 6; ++seed) {
     wlan::GeneratorParams gp;
@@ -150,6 +142,7 @@ TEST(CoreSolvePinned, WlanEnginePicksArePinned) {
       cp.multi_rate = multi_rate;
       cp.mnu_augment = true;
       h.add(assoc::centralized_mnu(sc, cp).assoc.user_ap);
+      h.add(assoc::centralized_bla(sc, cp).assoc.user_ap);
       EXPECT_EQ(h.value(), kDigest[seed - 1][multi_rate ? 0 : 1])
           << "seed " << seed << " multi_rate " << multi_rate << std::hex << ": 0x"
           << h.value();
@@ -159,8 +152,8 @@ TEST(CoreSolvePinned, WlanEnginePicksArePinned) {
 
 TEST(CoreSolvePinned, RandomSetSystemPicksArePinned) {
   constexpr uint64_t kDigest[6] = {
-      0x922143b01e874d30ull, 0x6a47d74a6e58235bull, 0xec5bd4a81dea1b43ull,
-      0x0fcdcecd483437a5ull, 0xa5684963d83a4cb4ull, 0x7656452598fcb340ull,
+      0xed912a983768a7b4ull, 0x12c94c9140680213ull, 0x04c27fdb1bb86b33ull,
+      0x276bb6ec231f2dfdull, 0x3328b898c66c2828ull, 0x6f2e477d9362bfd4ull,
   };
   for (int i = 0; i < 6; ++i) {
     util::Rng rng(9100 + static_cast<uint64_t>(i));

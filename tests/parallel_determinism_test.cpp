@@ -1,13 +1,13 @@
 // Determinism contract of the parallel execution layer (DESIGN.md §9): every
 // parallel entry point must produce bitwise-identical results at any thread
 // count, the serial sweep must match the historical fork-inside-the-loop
-// harness stream for stream, and the sharded greedy must commit the same
+// harness stream for stream, and the sharded MLA greedy must commit the same
 // association as the joint serial solve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <string>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -149,43 +149,6 @@ TEST_F(ShardedSolvers, GreedyThreadInvariant) {
   }
 }
 
-TEST_F(ShardedSolvers, McgThreadInvariant) {
-  const std::vector<double> budgets(static_cast<size_t>(eng_.n_groups()),
-                                    sc_.load_budget());
-  for (const bool augment : {false, true}) {
-    util::ThreadPool ref_pool(1);
-    core::ShardWorkspaces ref_ws;
-    const auto ref =
-        core::parallel_mcg_cover(eng_, ref_pool, ref_ws, shards_, budgets, augment);
-    for (const int threads : {2, 8}) {
-      util::ThreadPool pool(threads);
-      core::ShardWorkspaces wss;
-      const auto got =
-          core::parallel_mcg_cover(eng_, pool, wss, shards_, budgets, augment);
-      EXPECT_EQ(got.h, ref.h) << threads << " threads, augment " << augment;
-      EXPECT_EQ(got.chosen, ref.chosen) << threads << " threads, augment " << augment;
-      EXPECT_EQ(got.covered, ref.covered) << threads << " threads";
-      EXPECT_EQ(got.covered_h, ref.covered_h) << threads << " threads";
-    }
-  }
-}
-
-TEST_F(ShardedSolvers, ScgThreadInvariant) {
-  util::ThreadPool ref_pool(1);
-  core::ShardWorkspaces ref_ws;
-  const auto ref = core::parallel_scg_cover(eng_, ref_pool, ref_ws, shards_);
-  for (const int threads : {2, 8}) {
-    util::ThreadPool pool(threads);
-    core::ShardWorkspaces wss;
-    const auto got = core::parallel_scg_cover(eng_, pool, wss, shards_);
-    EXPECT_EQ(got.chosen, ref.chosen) << threads << " threads";
-    EXPECT_EQ(got.covered, ref.covered) << threads << " threads";
-    EXPECT_EQ(got.feasible, ref.feasible) << threads << " threads";
-    EXPECT_EQ(got.bstar, ref.bstar) << threads << " threads";
-    EXPECT_EQ(got.group_cost, ref.group_cost) << threads << " threads";
-  }
-}
-
 TEST_F(ShardedSolvers, ShardedGreedyMatchesJointAssociation) {
   // The joint greedy and the sharded greedy pick the same *set* of sets (a
   // session's sets never cover another session's users), so the materialized
@@ -210,32 +173,6 @@ TEST_F(ShardedSolvers, ShardedGreedyMatchesJointAssociation) {
   EXPECT_EQ(a_sharded.user_ap, a_joint.user_ap);
 }
 
-TEST_F(ShardedSolvers, ComponentGroupedBuild) {
-  // Group sessions {0, 2} and {1, 3} onto shared channels; session 4 rides
-  // alone. Shards are ordered by ascending label and still partition the
-  // universe.
-  const std::vector<int> component = {0, 1, 0, 1, 2};
-  core::SessionShards grouped;
-  grouped.build(eng_, component);
-  ASSERT_EQ(grouped.n_shards(), 3);
-  EXPECT_EQ(grouped.sessions(0), (std::vector<int>{0, 2}));
-  EXPECT_EQ(grouped.sessions(1), (std::vector<int>{1, 3}));
-  EXPECT_EQ(grouped.sessions(2), (std::vector<int>{4}));
-
-  util::DynBitset seen(eng_.n_elements());
-  for (int k = 0; k < grouped.n_shards(); ++k) {
-    EXPECT_EQ(seen.and_count(grouped.target(k)), 0);
-    seen.or_assign(grouped.target(k));
-  }
-  EXPECT_EQ(seen, eng_.coverable());
-
-  // Shard 0's target must be the union of the per-session targets of 0 and 2.
-  util::DynBitset expect(eng_.n_elements());
-  expect.or_assign(shards_.target(0));
-  expect.or_assign(shards_.target(2));
-  EXPECT_EQ(grouped.target(0), expect);
-}
-
 TEST_F(ShardedSolvers, ParallelStatsSanity) {
   util::ThreadPool pool(4);
   core::ShardWorkspaces wss;
@@ -251,27 +188,29 @@ TEST_F(ShardedSolvers, ParallelStatsSanity) {
 
 TEST(ParallelDeterminism, CentralizedSolversPoolInvariant) {
   const auto sc = test_scenario(21).with_budget(0.2);
-  for (const auto* algo : {"mla", "bla", "mnu"}) {
-    std::vector<std::vector<int>> per_threads;
-    for (const int threads : {1, 2, 8}) {
-      util::ThreadPool pool(threads);
-      assoc::CentralizedParams params;
-      params.pool = &pool;
-      assoc::EngineContext ctx;
-      ctx.build(sc, params.multi_rate);
-      assoc::Solution sol;
-      if (std::string(algo) == "mla") {
-        sol = assoc::centralized_mla(sc, params, ctx);
-      } else if (std::string(algo) == "bla") {
-        sol = assoc::centralized_bla(sc, params, {}, ctx);
-      } else {
-        sol = assoc::centralized_mnu(sc, params, ctx);
-      }
-      per_threads.push_back(sol.assoc.user_ap);
-    }
-    EXPECT_EQ(per_threads[1], per_threads[0]) << algo << ": 2 vs 1 threads";
-    EXPECT_EQ(per_threads[2], per_threads[0]) << algo << ": 8 vs 1 threads";
+  std::vector<std::vector<int>> per_threads;
+  for (const int threads : {1, 2, 8}) {
+    util::ThreadPool pool(threads);
+    assoc::CentralizedParams params;
+    params.pool = &pool;
+    assoc::EngineContext ctx;
+    ctx.build(sc, params.multi_rate);
+    per_threads.push_back(assoc::centralized_mla(sc, params, ctx).assoc.user_ap);
   }
+  EXPECT_EQ(per_threads[1], per_threads[0]) << "2 vs 1 threads";
+  EXPECT_EQ(per_threads[2], per_threads[0]) << "8 vs 1 threads";
+}
+
+TEST(ParallelDeterminism, BudgetedSolversRejectAPool) {
+  // BLA's max load and MNU's budgets bound each AP's load summed over all of
+  // its sessions, so neither splits per session: a pool is a caller error,
+  // not a request for a different answer.
+  const auto sc = test_scenario(21).with_budget(0.2);
+  util::ThreadPool pool(2);
+  assoc::CentralizedParams params;
+  params.pool = &pool;
+  EXPECT_THROW(assoc::centralized_bla(sc, params), std::invalid_argument);
+  EXPECT_THROW(assoc::centralized_mnu(sc, params), std::invalid_argument);
 }
 
 TEST(ParallelDeterminism, CentralizedMlaShardedMatchesSerialDefault) {

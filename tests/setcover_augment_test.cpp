@@ -65,22 +65,6 @@ TEST(McgAugment, FromScratchActsLikeBudgetedGreedy) {
   EXPECT_FALSE(added.empty());
 }
 
-TEST(McgAugment, RestrictToLimitsTargets) {
-  const auto sc = test::fig1_scenario(3.0);
-  const SetSystem sys = build_set_system(sc);
-  std::vector<double> budgets(2, 1.0);
-  std::vector<double> group_cost(2, 0.0);
-  util::DynBitset covered(sys.n_elements());
-  util::DynBitset only_u3(5);
-  only_u3.set(2);
-  const core::CoverageEngine eng = to_engine(sys);
-  core::SolveWorkspace ws;
-  const auto added = core::mcg_augment(eng, ws, budgets, group_cost, covered, &only_u3);
-  // Covers u3 via the cheapest covering set: (a2,s1,5) cost 0.6.
-  ASSERT_EQ(added.size(), 1u);
-  EXPECT_TRUE(covered.test(2));
-}
-
 TEST(McgAugment, RejectsMismatchedVectors) {
   const auto sc = test::fig1_scenario(1.0);
   const SetSystem sys = build_set_system(sc);
