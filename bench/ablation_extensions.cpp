@@ -16,7 +16,6 @@
 #include "wmcast/assoc/ssa.hpp"
 #include "wmcast/ext/interference.hpp"
 #include "wmcast/ext/interference_aware.hpp"
-#include "wmcast/ext/locks.hpp"
 #include "wmcast/ext/power_control.hpp"
 
 using namespace wmcast;
@@ -71,9 +70,9 @@ int main(int argc, char** argv) {
       rows[1].rounds.add(sim.rounds);
       rows[1].load.add(sim.loads.total_load);
 
-      p.mode = assoc::UpdateMode::kSequential;  // ignored by the lock engine
+      p.mode = assoc::UpdateMode::kLocked;
       util::Rng r3 = master.fork();
-      const auto lock = ext::lock_coordinated_associate(sc, r3, p);
+      const auto lock = assoc::distributed_associate(sc, r3, p);
       rows[2].converged += lock.converged;
       rows[2].rounds.add(lock.rounds);
       rows[2].load.add(lock.loads.total_load);

@@ -28,7 +28,6 @@
 #include "wmcast/ctrl/controller.hpp"
 #include "wmcast/core/solve.hpp"
 #include "wmcast/exact/exact_mla.hpp"
-#include "wmcast/ext/locks.hpp"
 #include "wmcast/setcover/reduction.hpp"
 #include "wmcast/util/json.hpp"
 #include "wmcast/util/rng.hpp"
@@ -121,10 +120,11 @@ BENCHMARK(BM_Ssa)->Args({100, 200})->Args({200, 400});
 void BM_LockCoordinated(benchmark::State& state) {
   const auto sc = scenario_for(static_cast<int>(state.range(0)),
                                static_cast<int>(state.range(1)));
+  assoc::DistributedParams p;
+  p.mode = assoc::UpdateMode::kLocked;
   for (auto _ : state) {
     util::Rng rng(1);
-    benchmark::DoNotOptimize(
-        ext::lock_coordinated_associate(sc, rng, {}).loads.total_load);
+    benchmark::DoNotOptimize(assoc::distributed_associate(sc, rng, p).loads.total_load);
   }
 }
 BENCHMARK(BM_LockCoordinated)->Args({100, 200});

@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "wmcast/assoc/distributed.hpp"
-#include "wmcast/ext/locks.hpp"
 #include "wmcast/sim/network.hpp"
 #include "wmcast/util/stats.hpp"
 #include "wmcast/wlan/scenario.hpp"
@@ -85,12 +84,12 @@ int main() {
   {
     std::printf("3) synchronized decisions with AP locks (the paper's §8 idea)\n");
     assoc::DistributedParams p;
-    p.mode = assoc::UpdateMode::kSimultaneous;
+    p.mode = assoc::UpdateMode::kLocked;
     p.order = util::iota_permutation(4);
     p.initial = bad_start;
     util::Rng rng(7);
-    ext::LockStats stats;
-    const auto sol = ext::lock_coordinated_associate(sc, rng, p, &stats);
+    assoc::LockStats stats;
+    const auto sol = assoc::distributed_associate(sc, rng, p, &stats);
     std::printf("    converged: %s in %d rounds (%lld lock grants, %lld deferrals)\n",
                 sol.converged ? "yes" : "NO", sol.rounds,
                 static_cast<long long>(stats.lock_grants),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <unordered_set>
+#include <utility>
 
 #include "wmcast/util/assert.hpp"
 
@@ -36,22 +37,17 @@ void move_user(std::vector<std::vector<int>>& members, std::vector<int>& user_ap
 }
 
 std::string algorithm_name(const DistributedParams& p) {
-  return p.objective == Objective::kLoadVector ? "BLA-D" : "MNU/MLA-D";
+  const std::string name = p.objective == Objective::kLoadVector ? "BLA-D" : "MNU/MLA-D";
+  return p.mode == UpdateMode::kLocked ? name + "-lock" : name;
 }
 
 }  // namespace
 
 Solution distributed_associate(const wlan::Scenario& sc, util::Rng& rng,
-                               const DistributedParams& params,
-                               core::AssocWorkspace* workspace) {
+                               const DistributedParams& params, LockStats* lock_stats) {
   const auto t0 = std::chrono::steady_clock::now();
 
-  core::AssocWorkspace local_ws;
-  core::AssocWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
-  ws.prepare(sc.n_aps(), sc.n_users());
-
-  std::vector<int>& order = ws.scratch;
-  order = params.order;
+  std::vector<int> order = params.order;
   if (order.empty()) {
     order = util::iota_permutation(sc.n_users());
     rng.shuffle(order);
@@ -64,8 +60,8 @@ Solution distributed_associate(const wlan::Scenario& sc, util::Rng& rng,
   policy.enforce_budget = params.enforce_budget;
   policy.multi_rate = params.multi_rate;
 
-  std::vector<int>& user_ap = ws.user_ap;
-  std::vector<std::vector<int>>& members = ws.members;
+  std::vector<int> user_ap(static_cast<size_t>(sc.n_users()), wlan::kNoAp);
+  std::vector<std::vector<int>> members(static_cast<size_t>(sc.n_aps()));
   if (!params.initial.user_ap.empty()) {
     util::require(params.initial.n_users() == sc.n_users(),
                   "distributed_associate: initial association size mismatch");
@@ -81,6 +77,9 @@ Solution distributed_associate(const wlan::Scenario& sc, util::Rng& rng,
 
   int rounds = 0;
   bool converged = false;
+  LockStats locks;
+  std::vector<int> decision;
+  std::vector<int> lock_holder;
   std::unordered_set<uint64_t> seen_states;
   seen_states.insert(fnv1a_hash(user_ap));
 
@@ -98,18 +97,42 @@ Solution distributed_associate(const wlan::Scenario& sc, util::Rng& rng,
         }
       }
     } else {
-      // Everyone decides against the same snapshot, then all moves apply.
-      std::vector<int>& decision = ws.decision;
+      // Everyone decides against the same snapshot, then the moves apply: all
+      // of them, or in locked mode those of the movers that hold every lock.
       decision.assign(static_cast<size_t>(sc.n_users()), wlan::kNoAp);
       for (const int u : order) {
         decision[static_cast<size_t>(u)] =
             choose_best_ap(sc, u, members, user_ap[static_cast<size_t>(u)], policy);
       }
-      for (const int u : order) {
-        if (decision[static_cast<size_t>(u)] != user_ap[static_cast<size_t>(u)]) {
-          move_user(members, user_ap, u, decision[static_cast<size_t>(u)]);
-          changed = true;
+      const bool locked = params.mode == UpdateMode::kLocked;
+      const auto moves = [&](int u) {
+        return decision[static_cast<size_t>(u)] != user_ap[static_cast<size_t>(u)];
+      };
+      if (locked) {
+        lock_holder.assign(static_cast<size_t>(sc.n_aps()), sc.n_users());
+        for (const int u : order) {
+          if (!moves(u)) continue;
+          for (const int a : sc.aps_of_user(u)) {
+            int& holder = lock_holder[static_cast<size_t>(a)];
+            holder = std::min(holder, u);
+          }
         }
+      }
+      for (const int u : order) {
+        if (!moves(u)) continue;
+        if (locked) {
+          const auto aps = sc.aps_of_user(u);
+          const bool holds_all = std::all_of(aps.begin(), aps.end(), [&](int a) {
+            return lock_holder[static_cast<size_t>(a)] == u;
+          });
+          if (!holds_all) {
+            ++locks.deferrals;
+            continue;
+          }
+          ++locks.lock_grants;
+        }
+        move_user(members, user_ap, u, decision[static_cast<size_t>(u)]);
+        changed = true;
       }
     }
 
@@ -124,13 +147,13 @@ Solution distributed_associate(const wlan::Scenario& sc, util::Rng& rng,
     }
   }
 
-  // Copy (not move) the assignment out so the workspace stays reusable.
-  Solution sol = make_solution(algorithm_name(params), sc, wlan::Association{user_ap},
-                               params.multi_rate);
+  Solution sol = make_solution(algorithm_name(params), sc,
+                               wlan::Association{std::move(user_ap)}, params.multi_rate);
   sol.rounds = rounds;
   sol.converged = converged;
   sol.solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  if (lock_stats != nullptr) *lock_stats = locks;
   return sol;
 }
 

@@ -8,7 +8,6 @@
 #include "wmcast/assoc/local_search.hpp"
 #include "wmcast/assoc/single_session.hpp"
 #include "wmcast/assoc/ssa.hpp"
-#include "wmcast/ext/locks.hpp"
 #include "wmcast/util/assert.hpp"
 
 namespace wmcast::assoc {
@@ -68,7 +67,10 @@ Solution solve_by_name(const std::string& name, const wlan::Scenario& sc,
     sol.algorithm = "MNU-D";
     return sol;
   }
-  if (name == "lock-d") return ext::lock_coordinated_associate(sc, rng, dp);
+  if (name == "lock-d") {
+    dp.mode = UpdateMode::kLocked;
+    return distributed_associate(sc, rng, dp);
+  }
   if (name == "local-search") {
     const Solution start = ssa_associate(sc, rng);
     LocalSearchParams lp;

@@ -261,8 +261,6 @@ void mcg_cover_into(const CoverageEngine& eng, SolveWorkspace& ws,
   res.h1.clear();
   res.h2.clear();
   res.chosen.clear();
-  res.covered_h.resize(eng.n_elements());
-  res.covered_h.reset_all();
 
   // Admitted while a set fits its group's budget on its own; live until the
   // group's budget is exhausted, so the pick that crosses it is a violator.
@@ -279,9 +277,8 @@ void mcg_cover_into(const CoverageEngine& eng, SolveWorkspace& ws,
         spent(j) += eng.cost(j);
         res.h.push_back(j);
         res.violator.push_back(util::exceeds_budget(spent(j), budget(j)));
-        return commit_set(eng, ws, j, &res.covered_h);
+        return commit_set(eng, ws, j, nullptr);
       });
-  res.covered_h.and_assign(ws.target);
 
   // H1/H2 split; output whichever covers more of the target.
   ws.cov_a.resize(eng.n_elements());

@@ -109,7 +109,6 @@ struct McgResult {
   std::vector<int> h2;         // at most one violator per group
   std::vector<int> chosen;     // whichever of h1/h2 covers more of the target
   util::DynBitset covered;     // target elements covered by `chosen`
-  util::DynBitset covered_h;   // target elements covered by the full h
 };
 
 struct ScgParams {

@@ -40,14 +40,12 @@ struct SolveWorkspace {
   std::vector<int32_t> newly;       // commit batch: elements covered this pick
 };
 
-/// Scratch for the association-side algorithms (local search, distributed
-/// rounds, controller repair): per-AP member lists and per-user placements.
-/// prepare() keeps inner-vector capacity so steady-state epochs allocate
-/// nothing.
+/// Scratch for the association-side algorithms (local search, controller
+/// repair): per-AP member lists and per-user placements. prepare() keeps
+/// inner-vector capacity so steady-state epochs allocate nothing.
 struct AssocWorkspace {
   std::vector<std::vector<int>> members;  // per AP
   std::vector<int> user_ap;               // per user
-  std::vector<int> decision;              // per user (simultaneous rounds)
   std::vector<int> scratch;               // movers / pending lists
 
   void prepare(int n_aps, int n_users) {
@@ -56,7 +54,6 @@ struct AssocWorkspace {
     }
     for (int a = 0; a < n_aps; ++a) members[static_cast<size_t>(a)].clear();
     user_ap.assign(static_cast<size_t>(n_users), -1);
-    decision.clear();
     scratch.clear();
   }
 };

@@ -52,7 +52,6 @@ core::McgResult mcg_greedy_reference(const SetSystem& sys,
   std::vector<double> group_cost(static_cast<size_t>(sys.n_groups()), 0.0);
 
   core::McgResult res;
-  res.covered_h = util::DynBitset(sys.n_elements());
 
   while (remaining.any()) {
     int best = -1;
@@ -76,10 +75,8 @@ core::McgResult mcg_greedy_reference(const SetSystem& sys,
     group_cost[g] += s.cost;
     res.h.push_back(best);
     res.violator.push_back(util::exceeds_budget(group_cost[g], group_budgets[g]));
-    res.covered_h.or_assign(s.members);
     remaining.andnot_assign(s.members);
   }
-  res.covered_h.and_assign(target);
 
   util::DynBitset cov1(sys.n_elements());
   util::DynBitset cov2(sys.n_elements());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pinned_starts.hpp"
 #include "test_fixtures.hpp"
 #include "wmcast/wlan/scenario_generator.hpp"
 
@@ -168,6 +169,56 @@ TEST(Distributed, TotalLoadNeverIncreasesAcrossRounds) {
   const Solution after1 = distributed_associate(sc, r1, one);
   const Solution fixed = distributed_associate(sc, r2, full);
   EXPECT_LE(fixed.loads.total_load, after1.loads.total_load + 1e-9);
+}
+
+TEST(DistributedRounds, DecisionsArePinned) {
+  // The round engine's decisions are part of the contract: the digest pins
+  // every run's association, rounds, convergence and label, the lock mode's
+  // grants and deferrals, and the rng's next draw, so a change to the order
+  // shuffle, the decision pass or the lock arbitration must reproduce them
+  // exactly. Carried starts are over budget, so the rounds evict as well as
+  // join. The first 20 networks and the round cap keep the test short: from an
+  // empty start the lock mode grants about one mover a round in these dense
+  // networks. The cap pins the capped exit too.
+  const auto starts = test::over_budget_starts(20);
+  int lock_converged = 0;
+  int lock_capped = 0;
+  int64_t deferrals = 0;
+  test::Fnv1a h;
+  for (size_t i = 0; i < starts.size(); ++i) {
+    const auto& s = starts[i];
+    for (const auto mode :
+         {UpdateMode::kSequential, UpdateMode::kSimultaneous, UpdateMode::kLocked}) {
+      for (const auto obj : {Objective::kTotalLoad, Objective::kLoadVector}) {
+        for (const bool carried : {false, true}) {
+          DistributedParams p;
+          p.objective = obj;
+          p.mode = mode;
+          p.max_rounds = 12;
+          if (carried) p.initial = s.start;
+          util::Rng rng(9100 + i);
+          LockStats ls;
+          const Solution sol = distributed_associate(s.sc, rng, p, &ls);
+          h.add(sol.assoc.user_ap);
+          h.add(sol.rounds);
+          h.add(sol.converged);
+          h.add(sol.algorithm);
+          if (mode == UpdateMode::kLocked) {
+            h.add(static_cast<uint64_t>(ls.lock_grants));
+            h.add(static_cast<uint64_t>(ls.deferrals));
+            lock_converged += sol.converged;
+            lock_capped += !sol.converged;
+            deferrals += ls.deferrals;
+          }
+          h.add(rng.next_u64());
+        }
+      }
+    }
+  }
+  ASSERT_GT(lock_converged, 0);
+  ASSERT_GT(lock_capped, 0);
+  ASSERT_GT(deferrals, 0) << "no lock conflicts; the arbitration is not exercised";
+  EXPECT_EQ(h.value(), 0x3de66541bc2d0f23ull) << std::hex << "0x" << h.value();
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "wmcast/assoc/distributed.hpp"
 #include "wmcast/assoc/local_search.hpp"
 #include "wmcast/assoc/ssa.hpp"
-#include "wmcast/ext/locks.hpp"
 #include "wmcast/core/solve.hpp"
 #include "wmcast/setcover/reduction.hpp"
 #include "wmcast/setcover/reference.hpp"
@@ -93,7 +92,9 @@ TEST_P(FuzzInvariants, AllAlgorithmsAllInvariants) {
   EXPECT_TRUE(dbla.converged);
 
   util::Rng r4(c.seed + 4);
-  const auto locked = ext::lock_coordinated_associate(sc, r4, {});
+  assoc::DistributedParams lp;
+  lp.mode = assoc::UpdateMode::kLocked;
+  const auto locked = assoc::distributed_associate(sc, r4, lp);
   check_solution(sc, locked, true);
   EXPECT_TRUE(locked.converged);
 
@@ -207,7 +208,6 @@ TEST_P(EngineEquivalence, MatchesNaiveReferenceExactly) {
     EXPECT_EQ(m_eng.h2, m_ref.h2);
     ASSERT_EQ(m_eng.chosen, m_ref.chosen);
     EXPECT_EQ(m_eng.covered, m_ref.covered);
-    EXPECT_EQ(m_eng.covered_h, m_ref.covered_h);
 
     // SCG (full budget search: grid + bisection over repeated MCG passes).
     core::ScgParams sp;

@@ -1,6 +1,7 @@
 // Seeded over-budget starts and an FNV-1a digest, shared by the tests that pin
-// the budget peel, greedy re-place and hill climb decision for decision
-// (RepairShard.DecisionsArePinned, LocalSearch.DecisionsArePinned).
+// the budget peel, greedy re-place, hill climb and distributed rounds decision
+// for decision (RepairShard.DecisionsArePinned, LocalSearch.DecisionsArePinned,
+// DistributedRounds.DecisionsArePinned).
 //
 // Each start is an MLA-C association solved at the default 0.9 budget and
 // carried into the same network at a budget of 0.25-0.34, so the peel has APs
@@ -9,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "wmcast/assoc/centralized.hpp"
@@ -68,6 +70,10 @@ class Fnv1a {
   void add(const std::vector<int>& v) {
     add(static_cast<uint64_t>(v.size()));
     for (const int x : v) add(x);
+  }
+  void add(const std::string& s) {
+    add(static_cast<uint64_t>(s.size()));
+    for (const char c : s) add(static_cast<uint64_t>(static_cast<unsigned char>(c)));
   }
   uint64_t value() const { return h_; }
 

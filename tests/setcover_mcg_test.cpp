@@ -35,7 +35,9 @@ TEST(McgGreedy, PapersMnuWalkthrough) {
   EXPECT_EQ(res.h2.size(), 1u);
   EXPECT_EQ(res.chosen, res.h1);
   EXPECT_EQ(res.covered.to_indices(), (std::vector<int>{1, 3, 4}));  // u2, u4, u5
-  EXPECT_EQ(res.covered_h.count(), 5);  // the full H covered everyone
+  util::DynBitset covered_h(sys.n_elements());
+  for (const int j : res.h) covered_h.or_assign(sys.set(j).members);
+  EXPECT_EQ(covered_h.count(), 5);  // the full H covered everyone
 }
 
 TEST(McgGreedy, RespectsBudgetsAfterSplit) {

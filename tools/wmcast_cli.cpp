@@ -282,6 +282,28 @@ int cmd_render(const util::Args& args) {
   return 0;
 }
 
+// The controller flags `replay` and `serve` share, applied over `cfg` (which
+// may already hold a repro's solver and seed). Prints a one-line diagnostic
+// and returns false on an unknown --solver.
+bool apply_controller_flags(const util::Args& args, const char* cmd,
+                            ctrl::ControllerConfig& cfg) {
+  cfg.full_solver = args.get("solver", cfg.full_solver);
+  cfg.multi_rate = !args.get_bool("basic-rate", false);
+  cfg.degradation_threshold = args.get_double("threshold", cfg.degradation_threshold);
+  cfg.full_refresh_epochs = args.get_int("refresh", cfg.full_refresh_epochs);
+  cfg.max_reassoc_per_epoch = args.get_int("max-reassoc", cfg.max_reassoc_per_epoch);
+  cfg.polish_min_gain = args.get_double("min-gain", cfg.polish_min_gain);
+  cfg.admission_control = !args.get_bool("no-admission", false);
+  cfg.seed = args.get_u64("seed", cfg.seed);
+  cfg.threads = util::resolve_threads(args);
+  cfg.k = args.get_int("k", cfg.k);
+  if (!assoc::is_algorithm(cfg.full_solver)) {
+    std::fprintf(stderr, "%s: unknown --solver=%s\n", cmd, cfg.full_solver.c_str());
+    return false;
+  }
+  return true;
+}
+
 // `replay`: runs the online controller epoch by epoch over a trace (from
 // file, a repro, or generated) and prints per-epoch rows plus a summary.
 int cmd_replay(const util::Args& args) {
@@ -314,20 +336,7 @@ int cmd_replay(const util::Args& args) {
     cfg.full_solver = repro->solver;
     cfg.seed = repro->seed;
   }
-  cfg.full_solver = args.get("solver", cfg.full_solver);
-  cfg.multi_rate = !args.get_bool("basic-rate", false);
-  cfg.degradation_threshold = args.get_double("threshold", cfg.degradation_threshold);
-  cfg.full_refresh_epochs = args.get_int("refresh", cfg.full_refresh_epochs);
-  cfg.max_reassoc_per_epoch = args.get_int("max-reassoc", cfg.max_reassoc_per_epoch);
-  cfg.polish_min_gain = args.get_double("min-gain", cfg.polish_min_gain);
-  cfg.admission_control = !args.get_bool("no-admission", false);
-  cfg.seed = args.get_u64("seed", cfg.seed);
-  cfg.threads = util::resolve_threads(args);
-  cfg.k = args.get_int("k", cfg.k);
-  if (!assoc::is_algorithm(cfg.full_solver)) {
-    std::fprintf(stderr, "replay: unknown --solver=%s\n", cfg.full_solver.c_str());
-    return 2;
-  }
+  if (!apply_controller_flags(args, "replay", cfg)) return 2;
 
   ctrl::AssociationController controller(sc, cfg);
 
@@ -439,21 +448,8 @@ int cmd_serve(const util::Args& args) {
   }
 
   ctrl::ControllerConfig cfg;
-  cfg.full_solver = args.get("solver", cfg.full_solver);
-  cfg.multi_rate = !args.get_bool("basic-rate", false);
-  cfg.degradation_threshold = args.get_double("threshold", cfg.degradation_threshold);
-  cfg.full_refresh_epochs = args.get_int("refresh", cfg.full_refresh_epochs);
-  cfg.max_reassoc_per_epoch = args.get_int("max-reassoc", cfg.max_reassoc_per_epoch);
-  cfg.polish_min_gain = args.get_double("min-gain", cfg.polish_min_gain);
-  cfg.admission_control = !args.get_bool("no-admission", false);
-  cfg.seed = args.get_u64("seed", cfg.seed);
-  cfg.threads = util::resolve_threads(args);
-  cfg.k = args.get_int("k", cfg.k);
+  if (!apply_controller_flags(args, "serve", cfg)) return 2;
   cfg.max_batch = 0;  // the serve loop owns batching; one batch = one epoch
-  if (!assoc::is_algorithm(cfg.full_solver)) {
-    std::fprintf(stderr, "serve: unknown --solver=%s\n", cfg.full_solver.c_str());
-    return 2;
-  }
   ctrl::AssociationController controller(sc, cfg);
 
   serve::ServeConfig scfg;
